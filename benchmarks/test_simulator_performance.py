@@ -12,7 +12,6 @@ from repro.dataplane.engine import ForwardingEngine
 from repro.routing.control import ControlPlane
 from repro.synth.gns3 import build_gns3
 from repro.synth.internet import InternetConfig, build_internet
-from repro.synth.profiles import paper_profiles
 
 
 @pytest.fixture(scope="module")
@@ -26,29 +25,10 @@ def internet_uncached():
 
 
 @pytest.fixture(scope="module")
-def internet_compiled():
-    """Same Internet, probing through the compiled batch data plane."""
-    return build_internet(
-        InternetConfig(
-            seed=77,
-            trajectory_cache=False,
-            compiled_plane=True,
-            probe_batch_window=8,
-        )
-    )
-
-
-@pytest.fixture(scope="module")
 def internet_te():
-    """RSVP-TE tunnels installed, probing through the compiled plane."""
+    """RSVP-TE tunnels installed, probing through the default engine."""
     return build_internet(
-        InternetConfig(
-            seed=77,
-            trajectory_cache=False,
-            compiled_plane=True,
-            probe_batch_window=8,
-            te_tunnels_per_transit=2,
-        )
+        InternetConfig(seed=77, te_tunnels_per_transit=2)
     )
 
 
@@ -100,24 +80,11 @@ def test_perf_full_traceroute_uncached(benchmark, internet_uncached):
     assert result.hops
 
 
-def test_perf_full_traceroute_compiled(benchmark, internet_compiled):
-    """The same trace as the uncached baseline, executed as TTL
-    batches over the compiled plane's per-flow programs."""
-    internet = internet_compiled
-    vp = internet.vps[0]
-    dst = internet.campaign_targets()[0]
-
-    def trace():
-        return internet.prober.traceroute(vp, dst, start_ttl=2)
-
-    result = benchmark(trace)
-    assert result.hops
-
-
 def test_perf_full_traceroute_te(benchmark, internet_te):
-    """The compiled-plane trace again, but steered through an RSVP-TE
+    """The cached trace again, but steered through an RSVP-TE
     explicit path: the flow is chosen so the head-end pushes the TE
-    label and every hop walks ``_te_step`` instead of the LDP path."""
+    label and the memoised trajectory follows ``_te_step`` instead of
+    the LDP path."""
     internet = internet_te
     te_paths = [tunnel.path for tunnel in internet.te_tunnels]
 
@@ -151,36 +118,6 @@ def test_perf_cold_vs_warm_routing(benchmark, internet):
     def cold_resolve():
         control = ControlPlane(internet.network)
         engine = ForwardingEngine(internet.network, control)
-        return engine.send_probe(vp, dst, ttl=40, flow_id=1)
-
-    outcome = benchmark(cold_resolve)
-    assert outcome.forward_path
-
-
-def test_perf_cold_routing_compiled(benchmark, internet):
-    """Cold-engine probe served from a shared compiled plane.
-
-    Models a fresh engine (new control plane, empty caches) attached
-    to an already-compiled plane — the counterpart of
-    ``test_perf_cold_vs_warm_routing``, which must resolve routes and
-    walk; here the flow's program is a dictionary hit.
-    """
-    from repro.dataplane.compiled import CompiledPlane
-
-    vp = internet.vps[0]
-    dst = internet.campaign_targets()[5]
-    plane = CompiledPlane()
-    warm = ForwardingEngine(
-        internet.network, ControlPlane(internet.network),
-        compiled_plane=plane,
-    )
-    warm.send_probe(vp, dst, ttl=40, flow_id=1)
-
-    def cold_resolve():
-        control = ControlPlane(internet.network)
-        engine = ForwardingEngine(
-            internet.network, control, compiled_plane=plane
-        )
         return engine.send_probe(vp, dst, ttl=40, flow_id=1)
 
     outcome = benchmark(cold_resolve)

@@ -82,16 +82,6 @@ _ENGINE_COUNTERS = (
     "packets_simulated",
 )
 
-#: Compiled-plane registry counters snapshotted into
-#: :attr:`PerfStats.compiled` as whole-run deltas (keyed by the
-#: suffix after ``dataplane.compiled.``).
-_COMPILED_COUNTERS = (
-    "dataplane.compiled.builds",
-    "dataplane.compiled.invalidations",
-    "dataplane.compiled.batches",
-    "dataplane.compiled.fallback_to_scalar",
-)
-
 #: Measurement counters whose whole-run deltas feed the data-quality
 #: grade (see :func:`repro.campaign.degrade.assess_data_quality`).
 _QUALITY_COUNTERS = (
@@ -227,10 +217,6 @@ MetricsRegistry` (whole-run ``engine.*`` counter deltas, plus the
     packets_simulated: int = 0  #: packets simulated (probes + replies)
     retries: int = 0  #: timeout re-probes issued by the service
     retries_exhausted: int = 0  #: probes still unanswered after them
-    #: Compiled-plane counter deltas (``builds``, ``invalidations``,
-    #: ``batches``, ``fallback_to_scalar``); all zero when the engine
-    #: runs without a compiled plane.
-    compiled: Dict[str, int] = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:
@@ -459,9 +445,6 @@ class Campaign:
             # hit counters must land in the ``pings_saved`` window).
             checkpoint.begin(self, destinations, result)
         counters = self._engine_counters()
-        compiled_before = {
-            name: metrics.get(name) for name in _COMPILED_COUNTERS
-        }
         with self.obs.tracer.span(
             "campaign.run", destinations=len(destinations),
             workers=self.config.workers,
@@ -514,11 +497,6 @@ class Campaign:
                 logger.warning("campaign stopped early: %s", exc)
         for name, end in self._engine_counters().items():
             setattr(result.perf, name, end - counters[name])
-        result.perf.compiled = {
-            name.rsplit(".", 1)[-1]:
-                metrics.get(name) - compiled_before[name]
-            for name in _COMPILED_COUNTERS
-        }
         metrics.inc(
             "campaign.pings_saved",
             metrics.get("measure.cache.hits") - cache_hits_before,

@@ -54,11 +54,6 @@ def render_perf_section(result: CampaignResult) -> str:
             ("retries exhausted", perf.retries_exhausted),
         ]
     )
-    if any(perf.compiled.values()):
-        rows.extend(
-            (f"compiled plane {name.replace('_', ' ')}", count)
-            for name, count in perf.compiled.items()
-        )
     lines.append(format_table(["metric", "value"], rows))
     lines.append("")
     return "\n".join(lines)

@@ -129,16 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="inject this chaos profile between the measurement "
         "service and the simulator (see 'repro chaos --list')",
     )
-    campaign.add_argument(
-        "--compiled", action="store_true",
-        help="evaluate probes through the compiled batch data plane "
-        "(results are bit-identical to the scalar walk)",
-    )
-    campaign.add_argument(
-        "--batch-window", type=int, default=1, metavar="N",
-        help="traceroute TTL rounds submitted per probe batch "
-        "(1 = serial probing)",
-    )
     store_group = campaign.add_mutually_exclusive_group()
     store_group.add_argument(
         "--checkpoint", metavar="DIR", default=None,
@@ -276,14 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "the chain with a resumable partial epoch",
     )
     monitor.add_argument(
-        "--compiled", action="store_true",
-        help="evaluate probes through the compiled batch data plane",
-    )
-    monitor.add_argument(
-        "--batch-window", type=int, default=1, metavar="N",
-        help="traceroute TTL rounds submitted per probe batch",
-    )
-    monitor.add_argument(
         "--json", metavar="PATH", default=None,
         help="write the folded timeline (repro.monitor/1) as JSON",
     )
@@ -328,15 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--max-retries", type=int, default=1, metavar="N",
         help="re-probe unresponsive (*) hops up to N times",
-    )
-    chaos.add_argument(
-        "--compiled", action="store_true",
-        help="evaluate probes through the compiled batch data plane "
-        "(bit-identical, faults included)",
-    )
-    chaos.add_argument(
-        "--batch-window", type=int, default=1, metavar="N",
-        help="traceroute TTL rounds submitted per probe batch",
     )
     chaos.add_argument(
         "--breaker-threshold", type=int, default=3, metavar="N",
@@ -456,14 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-epoch campaign probe budget per chain",
     )
     fleet.add_argument(
-        "--compiled", action="store_true",
-        help="evaluate probes through the compiled batch data plane",
-    )
-    fleet.add_argument(
-        "--batch-window", type=int, default=1, metavar="N",
-        help="traceroute TTL rounds submitted per probe batch",
-    )
-    fleet.add_argument(
         "--restart-budget", type=int, default=3, metavar="N",
         help="deaths tolerated per chain before it is parked "
         "(parking downgrades the fleet grade, never fails the run)",
@@ -553,8 +518,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 checkpoint_dir=args.resume or args.checkpoint,
                 resume=args.resume is not None,
                 fault_profile=args.fault_profile,
-                compiled_plane=args.compiled,
-                batch_window=args.batch_window,
             )
         )
     except StoreMismatch as exc:
@@ -766,8 +729,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                 incremental=not args.full,
                 fault_profile=args.fault_profile,
                 probe_budget=args.probe_budget,
-                compiled_plane=args.compiled,
-                batch_window=args.batch_window,
             )
         )
         report = loop.run()
@@ -857,8 +818,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             churn_seed=args.churn_seed,
             fault_profile=args.fault_profile,
             probe_budget=args.probe_budget,
-            compiled_plane=args.compiled,
-            batch_window=args.batch_window,
             restart_budget=args.restart_budget,
             epoch_deadline=args.epoch_deadline,
             backoff_base_ms=args.backoff_base_ms,
@@ -954,8 +913,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 fault_profile=args.profile,
                 checkpoint_dir=args.resume or args.checkpoint,
                 resume=args.resume is not None,
-                compiled_plane=args.compiled,
-                batch_window=args.batch_window,
             )
         )
     except StoreMismatch as exc:

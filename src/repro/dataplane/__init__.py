@@ -1,12 +1,9 @@
-"""Dataplane: packets, the per-hop engine, and the compiled plane."""
+"""Dataplane: packets and the per-hop forwarding engine."""
 
-from repro.dataplane.compiled import CompiledPlane, CompiledReply
 from repro.dataplane.engine import EndReason, ForwardingEngine, ProbeOutcome
 from repro.dataplane.packet import Packet
 
 __all__ = [
-    "CompiledPlane",
-    "CompiledReply",
     "EndReason",
     "ForwardingEngine",
     "Packet",

@@ -39,16 +39,10 @@ import logging
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs import DEBUG, Obs
 
-from repro.dataplane.compiled import (
-    SILENT,
-    CompiledFlow,
-    CompiledPlane,
-    CompiledReply,
-)
 from repro.dataplane.packet import (
     _KINDS,
     DEST_UNREACHABLE,
@@ -154,9 +148,6 @@ class _ReplyInfo:
 #: Sentinel memo: this event never produces a reply (silent reason).
 _NO_REPLY = object()
 
-#: Histogram buckets for compiled-plane batch sizes (probes/batch).
-_BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
-
 
 class ForwardingEngine:
     """Simulates packet journeys over a network + control plane."""
@@ -168,8 +159,6 @@ class ForwardingEngine:
         max_hops: int = 255,
         trajectory_cache: bool = True,
         obs: Optional[Obs] = None,
-        compiled: bool = False,
-        compiled_plane: Optional[CompiledPlane] = None,
     ) -> None:
         self.network = network
         self.control = control or ControlPlane(network)
@@ -184,20 +173,7 @@ class ForwardingEngine:
         #: Memoise whole journeys per flow; False = legacy re-walks.
         self.trajectory_cache = trajectory_cache
         self._trajectories: Dict[tuple, Trajectory] = {}
-        #: Compiled batch data plane (see :mod:`repro.dataplane.\
-        #: compiled`).  ``compiled=True`` creates a private plane; an
-        #: explicit ``compiled_plane`` shares one across engines (the
-        #: cold-routing bench pattern).  None = scalar evaluation only.
-        self.compiled_plane: Optional[CompiledPlane] = (
-            compiled_plane
-            if compiled_plane is not None
-            else (CompiledPlane() if compiled else None)
-        )
         self.control.add_invalidation_listener(self.flush_trajectories)
-        if self.compiled_plane is not None:
-            # Same invalidation chain as the trajectory cache: route
-            # flaps and chaos flaps drop compiled programs wholesale.
-            self.control.add_invalidation_listener(self._flush_compiled)
 
     # ------------------------------------------------------------------
     # Cache management / observability
@@ -231,17 +207,6 @@ class ForwardingEngine:
             logger.debug("trajectory cache flushed (%d dropped)", dropped)
             if self._events.debug:
                 self._events.emit("cache.flush", DEBUG, dropped=dropped)
-
-    def _flush_compiled(self) -> None:
-        """Drop every compiled program (invalidation-hook listener)."""
-        dropped = self.compiled_plane.flush()
-        self._metrics.inc("dataplane.compiled.invalidations")
-        if dropped:
-            logger.debug("compiled plane flushed (%d dropped)", dropped)
-            if self._events.debug:
-                self._events.emit(
-                    "compiled.flush", DEBUG, dropped=dropped
-                )
 
     def cache_stats(self) -> Dict[str, object]:
         """Trajectory-cache effectiveness counters, as one dict."""
@@ -295,7 +260,7 @@ class ForwardingEngine:
         kind: str = ECHO_REQUEST,
     ) -> ProbeOutcome:
         """Emit one probe from ``source`` and report what comes back."""
-        if not self.trajectory_cache and self.compiled_plane is None:
+        if not self.trajectory_cache:
             return self._send_probe_walked(source, dst, ttl, flow_id, kind)
         if kind not in _KINDS:
             raise ValueError(f"unknown packet kind {kind!r}")
@@ -304,33 +269,30 @@ class ForwardingEngine:
         metrics = self._metrics
         metrics.inc("engine.packets_simulated")
         key = (source.name, dst, flow_id, kind)
-        if self.compiled_plane is not None:
-            trajectory = self._compiled_program(key, source).trajectory
-        else:
-            trajectory = self._trajectories.get(key)
-            if trajectory is None:
-                metrics.inc("engine.trajectory_misses")
-                if self._events.debug:
-                    self._events.emit(
-                        "cache.miss", DEBUG,
-                        origin=source.name, dst=dst, flow=flow_id,
-                    )
-                with self.obs.tracer.span(
-                    "engine.walk",
+        trajectory = self._trajectories.get(key)
+        if trajectory is None:
+            metrics.inc("engine.trajectory_misses")
+            if self._events.debug:
+                self._events.emit(
+                    "cache.miss", DEBUG,
                     origin=source.name, dst=dst, flow=flow_id,
-                ):
-                    trajectory = self._build_trajectory(
-                        source, source.loopback, dst, flow_id, kind,
-                        (), None,
-                    )
-                self._trajectories[key] = trajectory
-            else:
-                metrics.inc("engine.trajectory_hits")
-                if self._events.debug:
-                    self._events.emit(
-                        "cache.hit", DEBUG,
-                        origin=source.name, dst=dst, flow=flow_id,
-                    )
+                )
+            with self.obs.tracer.span(
+                "engine.walk",
+                origin=source.name, dst=dst, flow=flow_id,
+            ):
+                trajectory = self._build_trajectory(
+                    source, source.loopback, dst, flow_id, kind,
+                    (), None,
+                )
+            self._trajectories[key] = trajectory
+        else:
+            metrics.inc("engine.trajectory_hits")
+            if self._events.debug:
+                self._events.emit(
+                    "cache.hit", DEBUG,
+                    origin=source.name, dst=dst, flow=flow_id,
+                )
         event = trajectory.locate(ttl)
         self._force_bindings(trajectory, event.bindings_used)
         outcome = ProbeOutcome(
@@ -370,286 +332,23 @@ class ForwardingEngine:
                 )
         return outcome
 
-    def _compiled_program(self, key: tuple, source: Router) -> CompiledFlow:
-        """Fetch (or build) the compiled program for one flow key.
-
-        Cache accounting mirrors the scalar path: a program (or cached
-        trajectory) is a hit, a fresh symbolic walk is a miss.  The
-        trajectory store is only populated when ``trajectory_cache`` is
-        on, so a compiled-only engine keeps exactly one copy per flow.
-        """
-        metrics = self._metrics
-        program = self.compiled_plane.programs.get(key)
-        if program is not None:
-            metrics.inc("engine.trajectory_hits")
-            return program
-        trajectory = self._trajectories.get(key)
-        if trajectory is not None:
-            metrics.inc("engine.trajectory_hits")
-        else:
-            metrics.inc("engine.trajectory_misses")
-            if self._events.debug:
-                self._events.emit(
-                    "cache.miss", DEBUG,
-                    origin=source.name, dst=key[1], flow=key[2],
-                )
-            with self.obs.tracer.span(
-                "engine.walk",
-                origin=source.name, dst=key[1], flow=key[2],
-            ):
-                trajectory = self._build_trajectory(
-                    source, source.loopback, key[1], key[2], key[3],
-                    (), None,
-                )
-            if self.trajectory_cache:
-                self._trajectories[key] = trajectory
-        program = self.compiled_plane.install(key, trajectory)
-        metrics.inc("dataplane.compiled.builds")
-        return program
-
-    def send_probe_batch(self, requests) -> List[CompiledReply]:
-        """Evaluate a batch of probe requests.
+    def send_probe_batch(self, requests) -> List[ProbeOutcome]:
+        """Evaluate a batch of probe requests, in submission order.
 
         Each request carries the measurement plane's wire fields —
         ``source`` (the vantage-point router *name*), ``dst``, ``ttl``,
         ``flow_id``, ``kind`` — duck-typed so the engine never imports
-        the measurement plane.  Requests are evaluated in submission
-        order — contiguous runs sharing a flow key execute through one
-        compiled program, but runs are never reordered or grouped
-        across the batch, so label bindings force in exactly the order
-        the scalar path would and quoted label values stay
-        bit-identical.  Without a compiled plane this degrades to the
-        scalar loop (counted as
-        ``dataplane.compiled.fallback_to_scalar``).
+        the measurement plane.  Probes are evaluated one by one, so
+        label bindings force in exactly the order single probes would.
         """
-        metrics = self._metrics
-        if self.compiled_plane is None:
-            if requests:
-                metrics.inc(
-                    "dataplane.compiled.fallback_to_scalar",
-                    len(requests),
-                )
-            router = self.network.router
-            return [
-                self.send_probe(
-                    router(request.source), request.dst, request.ttl,
-                    request.flow_id, request.kind,
-                )
-                for request in requests
-            ]
-        metrics.inc("dataplane.compiled.batches")
-        metrics.observe(
-            "dataplane.compiled.batch_size", float(len(requests)),
-            _BATCH_BUCKETS,
-        )
-        programs = self.compiled_plane.programs
-        replies: List[CompiledReply] = []
-        total = len(requests)
-        index = 0
-        while index < total:
-            head = requests[index]
-            source_name = head.source
-            dst = head.dst
-            flow_id = head.flow_id
-            kind = head.kind
-            if kind not in _KINDS:
-                raise ValueError(f"unknown packet kind {kind!r}")
-            ttls = [head.ttl]
-            end = index + 1
-            while end < total:
-                nxt = requests[end]
-                if (
-                    nxt.dst != dst or nxt.flow_id != flow_id
-                    or nxt.source != source_name or nxt.kind != kind
-                ):
-                    break
-                ttls.append(nxt.ttl)
-                end += 1
-            if not 0 <= min(ttls) <= max(ttls) <= 255:
-                bad = next(t for t in ttls if not 0 <= t <= 255)
-                raise ValueError(f"IP-TTL out of range: {bad}")
-            key = (source_name, dst, flow_id, kind)
-            program = programs.get(key)
-            if program is not None:
-                # One cache hit per probe, matching scalar accounting.
-                metrics.inc("engine.trajectory_hits", len(ttls))
-            else:
-                program = self._compiled_program(
-                    key, self.network.router(source_name)
-                )
-                extra = len(ttls) - 1
-                if extra:
-                    metrics.inc("engine.trajectory_hits", extra)
-            metrics.inc("engine.packets_simulated", len(ttls))
-            replies.extend(self._evaluate_compiled(program, ttls))
-            index = end
-        return replies
-
-    def _evaluate_compiled(
-        self, program: CompiledFlow, ttls: Sequence[int]
-    ) -> List[CompiledReply]:
-        """Synthesize replies for one flow's probe run.
-
-        The responsiveness check stays live per probe (failure
-        injection flips router flags mid-run) and reply templates are
-        resolved lazily through the shared reply-walk memo, so the
-        engine counters and label-allocation order match the scalar
-        path probe for probe.
-
-        Whole windows memoise their reply vector: for a fixed program,
-        the replies are a pure function of the TTLs and the live
-        responsiveness bits, so a re-probed window is served after
-        re-checking exactly those bits (``icmp_enabled`` and the
-        response rate of every replyable router it touches).  Any
-        mismatch — a downed router, a changed rate — falls back to the
-        per-probe loop and re-memoises against the new signature.
-        """
-        window = tuple(ttls)
-        entry = program.plans.get(window)
-        if entry is not None:
-            plan = entry[0]
-            if entry[2] is not None and entry[1] == tuple(
-                (router.icmp_enabled, router.icmp_response_rate)
-                for router in entry[4]
-            ):
-                walks = entry[3]
-                if walks:
-                    self._metrics.inc(
-                        "engine.packets_simulated", walks
-                    )
-                return entry[2]
-        else:
-            events = program.events
-            plan = [
-                events[event_index]
-                for event_index in program.locate_batch(ttls)
-            ]
-            # [plan, liveness signature, reply vector, reply walks,
-            #  replyable routers] — the last four filled below.
-            entry = [plan, None, None, 0, ()]
-            program.plans[window] = entry
-        trajectory = program.trajectory
-        flow_id = trajectory.flow_id
-        dst = trajectory.dst
-        reply = CompiledReply
-        crc32 = zlib.crc32
-        bare = program.bare
-        replies: List[CompiledReply] = []
-        append = replies.append
-        reply_walks = 0
-        # Replay walks a cache hit must account: one per synthesized
-        # (non-bare) reply.  Differs from ``reply_walks`` because a
-        # first-time template resolution accounts its walk inside
-        # ``_reply_info`` rather than here.
-        walks = 0
-        for ttl, ev in zip(ttls, plan):
-            tev = ev.event
-            if tev.bindings_used > trajectory.forced:
-                self._force_bindings(trajectory, tev.bindings_used)
-            if not ev.replyable:
-                timeout = bare.get(ttl)
-                if timeout is None:
-                    timeout = bare[ttl] = reply(ttl)
-                append(timeout)
-                continue
-            router = ev.router
-            # The responsiveness policy inlined from ``_responds``
-            # (the hot loop's dominant branch); the IP-TTL symbol is
-            # only evaluated when rate limiting actually samples it.
-            if not router.icmp_enabled:
-                timeout = bare.get(ttl)
-                if timeout is None:
-                    timeout = bare[ttl] = reply(ttl)
-                append(timeout)
-                continue
-            rate = router.icmp_response_rate
-            if rate < 1.0:
-                ratio = ev.ratios.get(ttl)
-                if ratio is None:
-                    shift = ev.ip_shift
-                    ip_val = (
-                        ev.ip_clamp if shift is None
-                        else min(ttl + shift, ev.ip_clamp)
-                    )
-                    ratio = crc32(
-                        f"{router.name}|{flow_id}|{ip_val}|{dst}"
-                        .encode("ascii")
-                    ) / 0xFFFFFFFF
-                    ev.ratios[ttl] = ratio
-                if rate <= 0.0 or ratio >= rate:
-                    timeout = bare.get(ttl)
-                    if timeout is None:
-                        timeout = bare[ttl] = reply(ttl)
-                    append(timeout)
-                    continue
-            done = ev.replies.get(ttl)
-            if done is not None:
-                reply_walks += 1
-                walks += 1
-                append(done)
-                continue
-            template = ev.template
-            if template is None:
-                info = tev.reply_info
-                if info is None:
-                    info = self._reply_info(trajectory, tev)
-                    tev.reply_info = info
-                elif info is not _NO_REPLY:
-                    reply_walks += 1
-                if info is _NO_REPLY:
-                    ev.template = SILENT
-                    timeout = bare.get(ttl)
-                    if timeout is None:
-                        timeout = bare[ttl] = reply(ttl)
-                    append(timeout)
-                    continue
-                template = (
-                    info.delivered, info.kind, info.src,
-                    info.responder_router, info.reply_ttl, info.delay_ms,
-                )
-                ev.template = template
-            elif template is SILENT:
-                timeout = bare.get(ttl)
-                if timeout is None:
-                    timeout = bare[ttl] = reply(ttl)
-                append(timeout)
-                continue
-            else:
-                reply_walks += 1
-            delivered, kind, src, responder_router, reply_ttl, delay = (
-                template
+        router = self.network.router
+        return [
+            self.send_probe(
+                router(request.source), request.dst, request.ttl,
+                request.flow_id, request.kind,
             )
-            walks += 1
-            rtt = ev.delay_ms + delay
-            if not delivered:
-                done = ev.replies[ttl] = reply(ttl, rtt_ms=rtt)
-                append(done)
-                continue
-            if ev.quote and router.mpls.rfc4950 and router.vendor.rfc4950:
-                quoted = self._quoted_labels(trajectory, tev, ttl)
-            else:
-                quoted = ()
-            done = ev.replies[ttl] = reply(
-                ttl, kind, src, responder_router, reply_ttl,
-                quoted, rtt,
-            )
-            append(done)
-        if reply_walks:
-            self._metrics.inc("engine.packets_simulated", reply_walks)
-        seen: set = set()
-        routers = []
-        for ev in plan:
-            if ev.replyable and id(ev.router) not in seen:
-                seen.add(id(ev.router))
-                routers.append(ev.router)
-        entry[4] = tuple(routers)
-        entry[1] = tuple(
-            (router.icmp_enabled, router.icmp_response_rate)
-            for router in routers
-        )
-        entry[2] = replies
-        entry[3] = walks
-        return replies
+            for request in requests
+        ]
 
     def _send_probe_walked(
         self, source: Router, dst: int, ttl: int, flow_id: int, kind: str

@@ -62,11 +62,6 @@ class ContextConfig:
     #: Circuit-breaker threshold for the campaign's ping phase
     #: (consecutive losses before a target is parked); None disables.
     breaker_threshold: Optional[int] = None
-    #: Attach the compiled batch data plane to the engine (results
-    #: are bit-identical; probes evaluate through per-flow programs).
-    compiled_plane: bool = False
-    #: Traceroute TTL rounds per batch submission (1 = serial loop).
-    batch_window: int = 1
     #: RSVP-TE tunnels installed per transit AS (0 = pure-LDP paper
     #: baseline; see :class:`repro.synth.internet.InternetConfig`).
     te_tunnels_per_transit: int = 0
@@ -105,8 +100,6 @@ class CampaignContext:
                     vantage_points=config.vantage_points,
                     stubs_per_transit=config.stubs_per_transit,
                     seed=config.seed,
-                    compiled_plane=config.compiled_plane,
-                    probe_batch_window=config.batch_window,
                     te_tunnels_per_transit=(
                         config.te_tunnels_per_transit
                     ),
@@ -116,9 +109,9 @@ class CampaignContext:
         else:
             # Render-once, attach-many: two contexts in one process
             # that differ only in execution knobs (workers, budget,
-            # record/replay, compiled plane) now share one rendered
-            # topology instead of silently paying ``internet_build``
-            # twice for the same content key.
+            # record/replay) now share one rendered topology instead
+            # of silently paying ``internet_build`` twice for the same
+            # content key.
             self.internet = default_registry().attach(
                 TopologySpec(
                     scale=config.scale,
@@ -133,8 +126,6 @@ class CampaignContext:
                     ),
                     te_ttl_propagate=config.te_ttl_propagate,
                 ),
-                compiled_plane=config.compiled_plane,
-                batch_window=config.batch_window,
             )
         prober, recording = self._build_prober(config)
         self.campaign = Campaign(
@@ -198,13 +189,11 @@ class CampaignContext:
         but under ``replay_path`` every probe is answered from the log
         instead of the simulator.
         """
-        window = config.batch_window
         if config.replay_path is not None:
             return (
                 Prober(
                     ReplayBackend(config.replay_path),
                     obs=self.internet.engine.obs,
-                    batch_window=window,
                 ),
                 None,
             )
@@ -221,9 +210,9 @@ class CampaignContext:
                 backend or SimBackend(self.internet.engine),
                 config.record_path,
             )
-            return Prober(recording, batch_window=window), recording
+            return Prober(recording), recording
         if backend is not None:
-            return Prober(backend, batch_window=window), None
+            return Prober(backend), None
         return self.internet.prober, None
 
     def _build_checkpoint(self, config: ContextConfig):
@@ -255,16 +244,6 @@ class CampaignContext:
                 **(
                     {"fault_profile": config.fault_profile}
                     if config.fault_profile is not None
-                    else {}
-                ),
-                # Under faults the batch window shapes the probe
-                # stream (in-flight probes behind a stop still spend
-                # fault-clock positions), so it keys the snapshot;
-                # clean runs are window-invariant and stay unkeyed.
-                **(
-                    {"batch_window": config.batch_window}
-                    if config.fault_profile is not None
-                    and config.batch_window > 1
                     else {}
                 ),
                 # TE knobs change the rendered topology, so they key

@@ -197,8 +197,6 @@ class FleetConfig:
     breaker_threshold: Optional[int] = None
     te_tunnels_per_transit: int = 0
     te_ttl_propagate: bool = False
-    compiled_plane: bool = False
-    batch_window: int = 1
     #: Deaths tolerated per chain before it is parked.
     restart_budget: int = 3
     backoff_base_ms: float = 25.0
@@ -242,8 +240,6 @@ class FleetConfig:
             breaker_threshold=self.breaker_threshold,
             te_tunnels_per_transit=self.te_tunnels_per_transit,
             te_ttl_propagate=self.te_ttl_propagate,
-            compiled_plane=self.compiled_plane,
-            batch_window=self.batch_window,
         )
 
     def topology_spec(self) -> TopologySpec:
@@ -289,11 +285,7 @@ class ChainWorker:
             kill_after=kill_after,
             epoch_deadline=config.epoch_deadline,
         )
-        twin = registry.checkout(
-            config.topology_spec(),
-            compiled_plane=config.compiled_plane,
-            batch_window=config.batch_window,
-        )
+        twin = registry.checkout(config.topology_spec())
         self.loop = MonitorLoop(
             self.monitor_config,
             internet=twin,

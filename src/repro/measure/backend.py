@@ -57,11 +57,10 @@ class ProbeRequest:
     and can address any backend.
 
     A plain ``__slots__`` value object (compared by value, hashable)
-    rather than a frozen dataclass: windowed tracerouting constructs
-    one request per in-flight TTL, and the frozen ``__init__``'s
-    ``object.__setattr__`` per field costs more than evaluating the
-    probe through a compiled program.  Treated as immutable by every
-    layer, like the replies.
+    rather than a frozen dataclass: the frozen ``__init__``'s
+    ``object.__setattr__`` per field is a measurable share of a
+    cached probe's cost.  Treated as immutable by every layer, like
+    the replies.
     """
 
     __slots__ = ("source", "dst", "ttl", "flow_id", "kind")

@@ -15,7 +15,7 @@ orchestrator ever touching the engine.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Optional
+from typing import Callable, Dict, FrozenSet
 
 from repro.dataplane.engine import ForwardingEngine
 from repro.measure.backend import ProbeBackend, ProbeRequest
@@ -50,12 +50,10 @@ ProbeReply`, returned as-is to avoid a per-probe copy)."""
     def submit_batch(self, requests):
         """Simulate a whole batch through the engine's batch path.
 
-        With a compiled plane attached the engine evaluates the batch
-        through dense per-flow programs; without one it degrades to
-        the scalar loop — either way replies come back in request
-        order, bit-identical to serial :meth:`submit` calls.  The
-        engine consumes the requests directly (duck-typed on the wire
-        fields), so the adapter adds no per-probe conversion.
+        Replies come back in request order, bit-identical to serial
+        :meth:`submit` calls.  The engine consumes the requests
+        directly (duck-typed on the wire fields), so the adapter adds
+        no per-probe conversion.
         """
         return self.engine.send_probe_batch(requests)
 

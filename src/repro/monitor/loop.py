@@ -156,8 +156,6 @@ class MonitorConfig:
     breaker_threshold: Optional[int] = None
     te_tunnels_per_transit: int = 0
     te_ttl_propagate: bool = False
-    compiled_plane: bool = False
-    batch_window: int = 1
 
 
 @dataclass
@@ -266,8 +264,6 @@ class MonitorLoop:
                     vantage_points=config.vantage_points,
                     stubs_per_transit=config.stubs_per_transit,
                     seed=config.seed,
-                    compiled_plane=config.compiled_plane,
-                    probe_batch_window=config.batch_window,
                     te_tunnels_per_transit=config.te_tunnels_per_transit,
                     te_ttl_propagate=config.te_ttl_propagate,
                 )
@@ -357,8 +353,6 @@ class MonitorLoop:
         }
         if self.config.fault_profile is not None:
             descriptor["fault_profile"] = self.config.fault_profile
-            if self.config.batch_window != 1:
-                descriptor["batch_window"] = self.config.batch_window
         if self.config.te_tunnels_per_transit:
             descriptor["te_tunnels_per_transit"] = (
                 self.config.te_tunnels_per_transit
@@ -389,9 +383,7 @@ class MonitorLoop:
             )
         if self._backend_wrapper is not None:
             backend = self._backend_wrapper(backend)
-        return Prober(
-            backend, batch_window=self.config.batch_window
-        )
+        return Prober(backend)
 
     def _epoch_boundary(self) -> None:
         """Reset per-epoch probing state.

@@ -177,7 +177,6 @@ class Prober:
         gap_limit: int = 3,
         policy: Optional[MeasurementPolicy] = None,
         obs: Optional[Obs] = None,
-        batch_window: int = 1,
     ) -> None:
         #: The measurement service every probe goes through; accepts a
         #: ready service, any probe backend, or a bare engine.
@@ -188,12 +187,6 @@ class Prober:
         #: Stop after this many consecutive unresponsive hops
         #: (scamper's gap limit).
         self.gap_limit = gap_limit
-        #: Traceroute TTL rounds submitted per batch.  1 keeps the
-        #: probe-per-probe loop; >1 submits TTL windows through the
-        #: backend's batch path (extra probes past the destination or
-        #: gap stop still spend budget and fault-clock positions, just
-        #: like a real windowed prober keeps packets in flight).
-        self.batch_window = max(1, int(batch_window))
         #: Shares the service's observability bundle, so probe counters
         #: land in the same registry as the backend's own counters.
         self.obs = self.service.obs
@@ -201,11 +194,6 @@ class Prober:
         #: is a pure function, so re-traces of the same pair skip the
         #: hash.
         self._flows: dict = {}
-        #: (source name, dst, flow, first ttl, last ttl) -> request
-        #: window.  Requests are immutable value objects every layer
-        #: only reads, so re-probed windows (revelation re-traces,
-        #: campaign rounds) reuse the same list.
-        self._windows: dict = {}
 
     @property
     def backend(self):
@@ -281,84 +269,12 @@ class Prober:
             else NULL_SPAN
         )
         with span:
-            if self.batch_window > 1:
-                self._traceroute_windowed(
-                    source, trace, start_ttl, limit, deadline
+            for ttl in range(start_ttl, limit + 1):
+                outcome = self.service.traceroute_probe(
+                    source.name, dst, ttl=ttl, flow_id=flow_id,
+                    trace_budget=deadline,
                 )
-            else:
-                for ttl in range(start_ttl, limit + 1):
-                    outcome = self.service.traceroute_probe(
-                        source.name, dst, ttl=ttl, flow_id=flow_id,
-                        trace_budget=deadline,
-                    )
-                    hop = self._hop_from(outcome)
-                    trace.hops.append(hop)
-                    if hop.responded:
-                        gap = 0
-                        if (
-                            hop.reply_kind == ECHO_REPLY
-                            and hop.address == dst
-                        ):
-                            trace.destination_reached = True
-                            # The destination's echo-reply doubles as
-                            # a ping observation — seed the service's
-                            # ping cache so the fingerprinting phase
-                            # can skip the wire for this
-                            # (vp, dst, flow).
-                            self.service.seed_ping(
-                                source.name, dst, flow_id, outcome
-                            )
-                            break
-                    else:
-                        gap += 1
-                        if gap >= self.gap_limit:
-                            metrics.inc("probe.gap_aborts")
-                            if events.debug:
-                                events.emit(
-                                    "probe.gap", DEBUG, vp=source.name,
-                                    dst=dst, ttl=ttl,
-                                )
-                            break
-                    if deadline is not None and deadline.expired:
-                        break
-        metrics.observe("trace.hops", len(trace.hops), _HOP_BUCKETS)
-        return trace
-
-    def _traceroute_windowed(
-        self, source: Router, trace: Trace, start_ttl: int, limit: int,
-        deadline,
-    ) -> None:
-        """TTL-windowed traceroute rounds through the batch path.
-
-        Each round submits :attr:`batch_window` consecutive TTLs as
-        one batch; replies are then folded into the trace in TTL
-        order with the same stop rules as the serial loop.  The trace
-        (hops, destination flag) comes out identical to serial
-        probing — the only behavioural difference is that probes
-        already in flight behind a stop still happened, which is
-        exactly what a windowed scamper does.
-        """
-        metrics = self.obs.metrics
-        events = self.obs.events
-        dst = trace.dst
-        flow_id = trace.flow_id
-        gap = 0
-        ttl = start_ttl
-        windows = self._windows
-        while ttl <= limit:
-            stop = min(ttl + self.batch_window - 1, limit)
-            window_key = (source.name, dst, flow_id, ttl, stop)
-            requests = windows.get(window_key)
-            if requests is None:
-                requests = windows[window_key] = [
-                    ProbeRequest(source.name, dst, t, flow_id)
-                    for t in range(ttl, stop + 1)
-                ]
-            replies = self.service.traceroute_batch(
-                requests, trace_budget=deadline
-            )
-            for reply in replies:
-                hop = self._hop_from(reply)
+                hop = self._hop_from(outcome)
                 trace.hops.append(hop)
                 if hop.responded:
                     gap = 0
@@ -367,10 +283,14 @@ class Prober:
                         and hop.address == dst
                     ):
                         trace.destination_reached = True
+                        # The destination's echo-reply doubles as a
+                        # ping observation — seed the service's ping
+                        # cache so the fingerprinting phase can skip
+                        # the wire for this (vp, dst, flow).
                         self.service.seed_ping(
-                            source.name, dst, flow_id, reply
+                            source.name, dst, flow_id, outcome
                         )
-                        return
+                        break
                 else:
                     gap += 1
                     if gap >= self.gap_limit:
@@ -378,12 +298,13 @@ class Prober:
                         if events.debug:
                             events.emit(
                                 "probe.gap", DEBUG, vp=source.name,
-                                dst=dst, ttl=hop.probe_ttl,
+                                dst=dst, ttl=ttl,
                             )
-                        return
+                        break
                 if deadline is not None and deadline.expired:
-                    return
-            ttl = stop + 1
+                    break
+        metrics.observe("trace.hops", len(trace.hops), _HOP_BUCKETS)
+        return trace
 
     def udp_probe(
         self, source: Router, dst: int, flow_id: Optional[int] = None

@@ -30,8 +30,8 @@ class BgpRouting:
     def __init__(self, network: Network) -> None:
         self.network = network
         # Derived lazily on first use: a control plane is cheap to
-        # construct, so a fresh engine attached to an already-compiled
-        # data plane never pays for the AS graph it will not consult.
+        # construct, so a fresh engine attached to already-cached
+        # trajectories never pays for the AS graph it will not consult.
         self._adjacency: Optional[Dict[int, Set[int]]] = None
         # next_as cache: dst_asn -> {asn -> chosen next asn}
         self._next_as_cache: Dict[int, Dict[int, int]] = {}

@@ -16,6 +16,7 @@ that key, so replaying millions of probes stays cheap.
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from dataclasses import dataclass
 from enum import Enum
@@ -94,7 +95,11 @@ class ControlPlane:
         self._route_cache: Dict[Tuple[str, Prefix], Route] = {}
         self._ldp_all_prefixes: Dict[int, bool] = {}
         self._egress_cache: Dict[Tuple[str, int], Optional[Router]] = {}
-        self._invalidation_listeners: List[Callable[[], None]] = []
+        #: Listener references: call one to get the live callback
+        #: (None once a weakly held owner has been collected).
+        self._invalidation_listeners: List[
+            Callable[[], Optional[Callable[[], None]]]
+        ] = []
 
     def add_invalidation_listener(
         self, callback: Callable[[], None]
@@ -103,8 +108,26 @@ class ControlPlane:
         stale (``invalidate()`` or a TE tunnel install).  Dependent
         caches — e.g. the forwarding engine's trajectory cache — hook
         in here so topology edits cannot leave them serving old paths.
+
+        Bound methods are held weakly: an engine or measurement
+        service dropped without being detached (a memoised campaign
+        context evicted from its cache, say) takes its listener with
+        it instead of being pinned alive by a shared control plane.
+        Plain functions are held strongly.
         """
-        self._invalidation_listeners.append(callback)
+        try:
+            ref = weakref.WeakMethod(callback, self._drop_listener)
+        except TypeError:
+            def ref():
+                return callback
+        self._invalidation_listeners.append(ref)
+
+    def _drop_listener(self, ref) -> None:
+        """Forget a weak listener whose owner was collected."""
+        try:
+            self._invalidation_listeners.remove(ref)
+        except ValueError:
+            pass
 
     def remove_invalidation_listener(
         self, callback: Callable[[], None]
@@ -115,14 +138,18 @@ class ControlPlane:
         attach and detach continuously; without removal every detached
         engine's flush hooks would pile up and pin the engine alive.
         """
-        try:
-            self._invalidation_listeners.remove(callback)
-        except ValueError:
-            pass
+        for ref in tuple(self._invalidation_listeners):
+            if ref() == callback:
+                self._drop_listener(ref)
+                return
 
     def _notify_invalidation(self) -> None:
-        for callback in self._invalidation_listeners:
-            callback()
+        # Iterate a copy: garbage collection may drop dead weak
+        # listeners from the list at any point.
+        for ref in tuple(self._invalidation_listeners):
+            callback = ref()
+            if callback is not None:
+                callback()
 
     def install_te_tunnel(self, tunnel) -> None:
         """Validate and install an RSVP-TE tunnel at its head-end."""
@@ -134,8 +161,7 @@ class ControlPlane:
 
         Fires the invalidation listeners like install does: traffic
         previously steered onto the explicit path falls back to the
-        LDP/IGP route, so memoised trajectories and compiled programs
-        must flush.
+        LDP/IGP route, so memoised trajectories must flush.
         """
         self.te.remove(head, tail)
         self._notify_invalidation()

@@ -60,8 +60,8 @@ class TopologySpec:
 
     Mirrors the topology descriptor the campaign warehouse keys
     snapshots on (``CampaignContext._build_checkpoint``): execution
-    knobs — compiled plane, batch window, budgets — deliberately stay
-    out, because they configure *attachments*, not the shared render.
+    knobs such as budgets deliberately stay out, because they
+    configure *attachments*, not the shared render.
     """
 
     scale: float = 1.0
@@ -167,8 +167,6 @@ class SnapshotRegistry:
     def attach(
         self,
         spec: TopologySpec,
-        compiled_plane: bool = False,
-        batch_window: int = 1,
         obs: Optional[Obs] = None,
     ) -> AttachedInternet:
         """An attach handle over the (rendered-on-demand) snapshot.
@@ -196,18 +194,9 @@ class SnapshotRegistry:
                 self.obs.metrics.inc("serve.snapshot.attach_hits")
             snapshot.attach_count += 1
             self.obs.metrics.inc("serve.snapshot.attaches")
-            return snapshot.internet.attach(
-                compiled_plane=compiled_plane,
-                probe_batch_window=batch_window,
-                obs=obs,
-            )
+            return snapshot.internet.attach(obs=obs)
 
-    def checkout(
-        self,
-        spec: TopologySpec,
-        compiled_plane: bool = False,
-        batch_window: int = 1,
-    ) -> SyntheticInternet:
+    def checkout(self, spec: TopologySpec) -> SyntheticInternet:
         """A private, **unfrozen** copy-on-churn twin of the snapshot.
 
         Where :meth:`attach` hands out a read-only view of the shared
@@ -235,10 +224,7 @@ class SnapshotRegistry:
             else:
                 self.obs.metrics.inc("serve.snapshot.attach_hits")
             start = time.perf_counter()
-            twin = snapshot.internet.clone(
-                compiled_plane=compiled_plane,
-                probe_batch_window=batch_window,
-            )
+            twin = snapshot.internet.clone()
             self.obs.metrics.inc("serve.snapshot.checkouts")
             self.obs.metrics.observe(
                 "serve.snapshot.checkout_ms",

@@ -140,10 +140,6 @@ class CampaignServer:
             raise AdmissionError(
                 f"tenant {spec.tenant!r} weight must be positive"
             )
-        if spec.batch_window < 1:
-            raise AdmissionError(
-                f"tenant {spec.tenant!r} batch_window must be >= 1"
-            )
         if spec.fault_profile is not None:
             from repro.faults import fault_profile
 

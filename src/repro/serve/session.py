@@ -4,8 +4,8 @@ A :class:`TenantSpec` is everything a tenant submits: which topology
 to measure (a :class:`~repro.serve.registry.TopologySpec`, resolved
 through the shared snapshot registry), its scheduler weight, and the
 campaign policy knobs the standalone CLI already exposes (probe
-budget, retries, chaos profile, circuit breaker, compiled plane,
-batch window, warehouse checkpoint).
+budget, retries, chaos profile, circuit breaker, warehouse
+checkpoint).
 
 A :class:`CampaignSession` runs the **unmodified**
 :class:`~repro.campaign.orchestrator.Campaign` in a worker thread
@@ -89,8 +89,6 @@ class TenantSpec:
     #: that mutate the network are refused on shared snapshots.
     fault_profile: Optional[str] = None
     breaker_threshold: Optional[int] = None
-    compiled_plane: bool = False
-    batch_window: int = 1
     #: Warehouse root for checkpoint/resume (same machinery and
     #: snapshot keys as ``repro campaign --checkpoint/--resume``).
     checkpoint_dir: Optional[str] = None
@@ -122,8 +120,6 @@ class TenantSpec:
         descriptor = self.topology.descriptor()
         if self.fault_profile is not None:
             descriptor["fault_profile"] = self.fault_profile
-            if self.batch_window > 1:
-                descriptor["batch_window"] = self.batch_window
         return descriptor
 
 
@@ -271,12 +267,7 @@ class CampaignSession:
             )
         obs = Obs(MetricsRegistry(), events, Tracer(events))
         self.metrics = obs.metrics
-        attached = self._registry.attach(
-            spec.topology,
-            compiled_plane=spec.compiled_plane,
-            batch_window=spec.batch_window,
-            obs=obs,
-        )
+        attached = self._registry.attach(spec.topology, obs=obs)
         backend = SimBackend(attached.engine)
         if spec.fault_profile is not None:
             from repro.faults import FaultyBackend, fault_profile
@@ -287,7 +278,7 @@ class CampaignSession:
         gate = ScheduledBackend(
             backend, self._scheduler, spec.tenant, self._loop
         )
-        prober = Prober(gate, batch_window=spec.batch_window)
+        prober = Prober(gate)
         campaign = Campaign(
             prober,
             attached.vps,
@@ -337,11 +328,7 @@ def run_standalone(spec: TenantSpec):
     """
     internet = render_internet(spec.topology)
     obs = Obs(MetricsRegistry(), EventLog())
-    attached = internet.attach(
-        compiled_plane=spec.compiled_plane,
-        probe_batch_window=spec.batch_window,
-        obs=obs,
-    )
+    attached = internet.attach(obs=obs)
     backend = SimBackend(attached.engine)
     if spec.fault_profile is not None:
         from repro.faults import FaultyBackend, fault_profile
@@ -349,7 +336,7 @@ def run_standalone(spec: TenantSpec):
         backend = FaultyBackend(
             backend, fault_profile(spec.fault_profile)
         )
-    prober = Prober(backend, batch_window=spec.batch_window)
+    prober = Prober(backend)
     campaign = Campaign(
         prober,
         attached.vps,

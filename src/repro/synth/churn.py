@@ -12,7 +12,7 @@ between monitoring epochs:
   (invisible ↔ explicit tunnel, Sec. 4 taxonomy);
 * ``te-install`` / ``te-teardown`` — pin or remove an RSVP-TE tunnel
   through :class:`~repro.routing.control.ControlPlane` (which fires
-  the compiled-plane invalidation listeners);
+  the trajectory-cache invalidation listeners);
 * ``vendor-upgrade`` — swap a router's vendor profile (new TTL
   signatures, the evidence the staleness engine watches).
 
@@ -22,7 +22,7 @@ from seed *and* epoch rather than carried forward, so a monitor that
 skips already-completed epochs on resume still replays the exact same
 churn the original run applied.  After mutating the network the model
 calls :meth:`ControlPlane.invalidate`, so routing caches, LDP label
-bindings, and compiled data-plane programs are all rebuilt lazily —
+bindings, and memoised trajectories are all rebuilt lazily —
 exactly the invalidation path chaos flaps already exercise.
 """
 
@@ -230,7 +230,7 @@ class ChurnModel:
         if events:
             # TE install/teardown already fire listeners; link, LDP
             # and vendor edits need an explicit invalidation so the
-            # IGP, label bindings and compiled programs rebuild.
+            # IGP, label bindings and trajectories rebuild.
             self.internet.control.invalidate()
         self.events.extend(events)
         return events

@@ -71,13 +71,6 @@ class InternetConfig:
     #: Memoise forwarding trajectories in the engine (False forces the
     #: original walk-per-probe dataplane; results are identical).
     trajectory_cache: bool = True
-    #: Attach a compiled batch data plane to the engine (per-flow
-    #: programs evaluated over whole probe batches; results are
-    #: bit-identical to the scalar paths).
-    compiled_plane: bool = False
-    #: Traceroute TTL rounds the prober submits per batch (1 = the
-    #: serial probe-per-probe loop).
-    probe_batch_window: int = 1
     #: RSVP-TE tunnels to install per transit AS (0 = pure LDP, the
     #: paper's baseline).  Each tunnel pins an explicit core detour
     #: from a backbone PE to a customer-facing PE, steering transit
@@ -101,12 +94,8 @@ class SyntheticInternet:
             self.network,
             self.control,
             trajectory_cache=config.trajectory_cache,
-            compiled=config.compiled_plane,
         )
-        self.prober = Prober(
-            SimBackend(self.engine),
-            batch_window=config.probe_batch_window,
-        )
+        self.prober = Prober(SimBackend(self.engine))
         self.profiles: Dict[int, TransitProfile] = {
             profile.asn: profile for profile in config.profiles
         }
@@ -202,12 +191,7 @@ class SyntheticInternet:
         outcome = self.engine.send_probe(source, dst, ttl=255, flow_id=0)
         return outcome.forward_path
 
-    def clone(
-        self,
-        compiled_plane: Optional[bool] = None,
-        probe_batch_window: Optional[int] = None,
-        trajectory_cache: Optional[bool] = None,
-    ) -> "SyntheticInternet":
+    def clone(self) -> "SyntheticInternet":
         """A private, **unfrozen** copy-on-churn twin of this internet.
 
         Where :meth:`attach` shares the network and control plane
@@ -229,28 +213,8 @@ class SyntheticInternet:
         the source's (pinned by test), so fleet chains and standalone
         monitor chains land in the same content-keyed snapshots.
         """
-        from dataclasses import replace
-
-        config = replace(
-            self.config,
-            trajectory_cache=(
-                self.config.trajectory_cache
-                if trajectory_cache is None
-                else trajectory_cache
-            ),
-            compiled_plane=(
-                self.config.compiled_plane
-                if compiled_plane is None
-                else compiled_plane
-            ),
-            probe_batch_window=(
-                self.config.probe_batch_window
-                if probe_batch_window is None
-                else probe_batch_window
-            ),
-        )
         twin = SyntheticInternet.__new__(SyntheticInternet)
-        twin.config = config
+        twin.config = self.config
         network = Network()
         # Structural copy in creation order (deepcopy would recurse
         # through the router<->interface<->link cycles): same names,
@@ -305,56 +269,32 @@ class SyntheticInternet:
         twin.engine = ForwardingEngine(
             network,
             twin.control,
-            trajectory_cache=config.trajectory_cache,
-            compiled=config.compiled_plane,
+            trajectory_cache=self.config.trajectory_cache,
         )
-        twin.prober = Prober(
-            SimBackend(twin.engine),
-            batch_window=config.probe_batch_window,
-        )
+        twin.prober = Prober(SimBackend(twin.engine))
         twin.control.invalidate()
         return twin
 
-    def attach(
-        self,
-        compiled_plane: bool = False,
-        probe_batch_window: int = 1,
-        trajectory_cache: bool = True,
-        obs=None,
-    ) -> "AttachedInternet":
+    def attach(self, obs=None) -> "AttachedInternet":
         """A fresh measurement stack over this (shared) topology.
 
         Builds a new :class:`ForwardingEngine` and
         :class:`~repro.probing.prober.Prober` riding the *same*
         network and control plane — route memos stay shared (they are
         pure functions of the topology), while trajectory caches,
-        label allocation, compiled programs, and metrics are private
+        label allocation, and metrics are private
         to the attachment.  This is the serve snapshot registry's
         lazy-attach path: rendering the topology once and attaching N
         engines costs one ``internet_build`` instead of N.
         """
-        from dataclasses import replace
-
         engine = ForwardingEngine(
             self.network,
             self.control,
-            trajectory_cache=trajectory_cache,
+            trajectory_cache=self.config.trajectory_cache,
             obs=obs,
-            compiled=compiled_plane,
-        )
-        prober = Prober(
-            SimBackend(engine), batch_window=probe_batch_window
         )
         return AttachedInternet(
-            self,
-            engine,
-            prober,
-            replace(
-                self.config,
-                trajectory_cache=trajectory_cache,
-                compiled_plane=compiled_plane,
-                probe_batch_window=probe_batch_window,
-            ),
+            self, engine, Prober(SimBackend(engine)), self.config
         )
 
 
@@ -386,10 +326,6 @@ class AttachedInternet:
         control.remove_invalidation_listener(
             self.engine.flush_trajectories
         )
-        if self.engine.compiled_plane is not None:
-            control.remove_invalidation_listener(
-                self.engine._flush_compiled
-            )
         service = getattr(self.prober, "service", None)
         if service is not None:
             control.remove_invalidation_listener(service.flush_cache)

@@ -123,6 +123,23 @@ class TestFaultyResume:
         _assert_results_equal(resumed.result, baseline.result)
         assert _counters(resumed) == _counters(baseline)
 
+    def test_hostile_resume_from_early_interrupt(self, tmp_path):
+        # A 100-probe budget dies early in the trace phase (the full
+        # run spends about 400): most of the campaign runs after the
+        # resume.
+        warehouse = str(tmp_path / "warehouse")
+        baseline = _build("hostile")
+        interrupted = _build(
+            "hostile", probe_budget=100, checkpoint_dir=warehouse
+        )
+        assert interrupted.result.partial
+        resumed = _build(
+            "hostile", checkpoint_dir=warehouse, resume=True
+        )
+        assert not resumed.result.partial
+        _assert_results_equal(resumed.result, baseline.result)
+        assert _counters(resumed) == _counters(baseline)
+
 
 class TestBudgetMidRevelation:
     def test_partial_revelation_kept_and_resumable(self, tmp_path):

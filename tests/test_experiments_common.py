@@ -1,11 +1,13 @@
 """Tests for the shared experiment infrastructure."""
 
+import gc
 
 from repro.experiments.common import (
     ContextConfig,
     campaign_context,
     format_table,
 )
+from repro.serve.registry import TopologySpec, default_registry
 
 
 class TestContextCaching:
@@ -34,6 +36,39 @@ class TestContextCaching:
         assert context.alias_of(router.loopback) == router.name
         assert context.asn_of(router.loopback) == 3257
         assert context.alias_of(0x01010101) is None
+
+    def test_evicted_contexts_leave_no_listeners(self):
+        """Contexts dropped from the memo must not stay hooked onto
+        the shared snapshot's control plane (nor be pinned alive)."""
+        topology = dict(
+            scale=0.3, seed=23, vantage_points=3, stubs_per_transit=2
+        )
+        default_registry().attach(TopologySpec(**topology)).detach()
+        control = default_registry().rendered(
+            TopologySpec(**topology)
+        ).control
+        listeners = control._invalidation_listeners
+        gc.collect()
+        baseline = len(listeners)
+
+        def context(budget):
+            campaign_context(
+                ContextConfig(
+                    probe_budget=budget, fault_profile="hostile",
+                    **topology,
+                )
+            )
+
+        # Budgets large enough never to stop a run early.
+        context(100_000)
+        gc.collect()
+        per_context = len(listeners) - baseline
+        assert per_context > 0
+        for budget in range(100_001, 100_006):
+            context(budget)
+        gc.collect()
+        # The memo keeps four contexts; the other two must be gone.
+        assert len(listeners) <= baseline + 4 * per_context
 
 
 class TestFormatTable:

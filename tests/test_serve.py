@@ -65,16 +65,23 @@ class TestByteIdentity:
             expected, metrics.counters_snapshot()
         )
 
-    def test_batch_window_spec_still_identical(self):
-        spec = small_spec("windowed", batch_window=4)
+    def test_faulty_spec_still_identical(self):
+        # A non-default spec: the fault layer sits between the shared
+        # snapshot and the tenant's probes, on both paths.
+        spec = small_spec("faulty", fault_profile="hostile", max_retries=1)
         client = ServeClient(registry=SnapshotRegistry())
         try:
-            served = client.submit(spec).wait(timeout=300)
+            handle = client.submit(spec)
+            served = handle.wait(timeout=300)
+            served_print = fingerprint(
+                served, handle.session.metrics.counters_snapshot()
+            )
         finally:
             client.close()
-        expected, _ = run_standalone(spec)
-        assert served.traces == expected.traces
-        assert served.revelations == expected.revelations
+        expected, metrics = run_standalone(spec)
+        assert served_print == fingerprint(
+            expected, metrics.counters_snapshot()
+        )
 
 
 class TestSnapshotSharing:
@@ -301,12 +308,9 @@ class TestTopologyKey:
         # Serve sessions and `repro campaign --checkpoint` must land
         # in the same warehouse snapshot for the same measured
         # topology + chaos shape.
-        spec = small_spec("ckpt", fault_profile="hostile",
-                          batch_window=2)
+        spec = small_spec("ckpt", fault_profile="hostile")
         descriptor = spec.checkpoint_topology()
         assert descriptor["kind"] == "synthetic-internet"
         assert descriptor["fault_profile"] == "hostile"
-        assert descriptor["batch_window"] == 2
         clean = small_spec("clean").checkpoint_topology()
         assert "fault_profile" not in clean
-        assert "batch_window" not in clean

@@ -3,16 +3,20 @@
 The contract under test (ISSUE: RSVP-TE promotion): the synth
 generator renders seeded TE tunnels that real transit traffic rides;
 TE-free builds stay byte-identical to older seeds; recorded probe
-logs are byte-identical scalar-vs-batch with TE tunnels installed;
-compiled programs flush on TE install *and* teardown (chaos flap
-included); and a mixed LDP+TE campaign checkpoints and resumes
+logs are byte-identical between the trajectory-cached engine and the
+walk-per-probe engine with TE tunnels installed, and so are replies
+submitted through the batch path; memoised trajectories
+flush on TE install *and* teardown; a chaos-flap campaign with TE
+completes; and a mixed LDP+TE campaign checkpoints and resumes
 bit-identically.
 """
 
 import pytest
 
+from repro.campaign.orchestrator import Campaign, CampaignConfig
 from repro.experiments.common import CampaignContext, ContextConfig
 from repro.measure import RecordingBackend, SimBackend
+from repro.measure.backend import ProbeRequest
 from repro.obs import measurement_counters
 from repro.probing.prober import Prober
 from repro.store import RESUME_EXEMPT_COUNTERS
@@ -27,16 +31,14 @@ BASE = dict(
 )
 
 
-def te_internet(seed=11, te=2, compiled=False, window=1,
-                propagate=False):
+def te_internet(seed=11, te=2, propagate=False, trajectory_cache=True):
     return build_internet(
         InternetConfig(
             profiles=tuple(paper_profiles(0.4)),
             vantage_points=3,
             stubs_per_transit=2,
             seed=seed,
-            compiled_plane=compiled,
-            probe_batch_window=window,
+            trajectory_cache=trajectory_cache,
             te_tunnels_per_transit=te,
             te_ttl_propagate=propagate,
         )
@@ -88,13 +90,11 @@ class TestSynthTe:
         assert ridden > 0
 
 
-def _record_log(tmp_path, name, compiled, window):
-    internet = te_internet(compiled=compiled, window=window)
+def _record_log(tmp_path, name, trajectory_cache):
+    internet = te_internet(trajectory_cache=trajectory_cache)
     path = str(tmp_path / name)
     recording = RecordingBackend(SimBackend(internet.engine), path)
-    prober = Prober(
-        recording, obs=internet.engine.obs, batch_window=window
-    )
+    prober = Prober(recording, obs=internet.engine.obs)
     vp = internet.vps[0]
     for dst in internet.campaign_targets()[:6]:
         prober.traceroute(vp, dst)
@@ -104,19 +104,51 @@ def _record_log(tmp_path, name, compiled, window):
         return handle.read()
 
 
-class TestCompiledIdentityWithTe:
-    @pytest.mark.parametrize("window", [1, 8])
-    def test_logs_byte_identical(self, tmp_path, window):
-        scalar = _record_log(
-            tmp_path, "scalar.jsonl", compiled=False, window=window
-        )
-        compiled = _record_log(
-            tmp_path, "compiled.jsonl", compiled=True, window=window
-        )
-        assert scalar == compiled
+def _hop_requests(internet):
+    return [
+        ProbeRequest(vp.name, dst, ttl, flow)
+        for vp in internet.vps
+        for flow, dst in enumerate(internet.campaign_targets()[:10])
+        for ttl in range(1, 17)
+    ]
 
-    def test_install_and_teardown_flush_programs(self):
-        internet = te_internet(te=0, compiled=True, window=8)
+
+def _observed(replies):
+    return [
+        (
+            reply.probe_ttl, reply.reply_kind, reply.responder,
+            reply.reply_ttl, tuple(reply.quoted_labels), reply.rtt_ms,
+        )
+        for reply in replies
+    ]
+
+
+class TestTeForwarding:
+    def test_logs_byte_identical(self, tmp_path):
+        cached = _record_log(tmp_path, "cached.jsonl", True)
+        walked = _record_log(tmp_path, "walked.jsonl", False)
+        assert cached == walked
+
+    @pytest.mark.parametrize("size", [1, 8])
+    def test_batches_match_serial_walk(self, size):
+        cached = te_internet()
+        backend = SimBackend(cached.engine)
+        requests = _hop_requests(cached)
+        batched = []
+        for start in range(0, len(requests), size):
+            batched.extend(
+                backend.submit_batch(requests[start:start + size])
+            )
+        walked = te_internet(trajectory_cache=False)
+        serial_backend = SimBackend(walked.engine)
+        serial = [
+            serial_backend.submit(request)
+            for request in _hop_requests(walked)
+        ]
+        assert _observed(batched) == _observed(serial)
+
+    def test_install_and_teardown_flush_trajectories(self):
+        internet = te_internet(te=0)
 
         def all_paths():
             return [
@@ -126,18 +158,18 @@ class TestCompiledIdentityWithTe:
             ]
 
         before = all_paths()
-        metrics = internet.engine.obs.metrics
-        assert internet.engine.compiled_plane.stats()["programs"] > 0
-        flushes = metrics.get("dataplane.compiled.invalidations")
+        engine = internet.engine
+        metrics = engine.obs.metrics
+        assert engine._trajectories
+        flushes = metrics.get("engine.cache_flushes")
 
         # Steal the seeded tunnels from a TE-enabled twin and install
-        # them mid-flight: the memoised programs must flush...
+        # them mid-flight: the memoised trajectories must flush...
         twin = te_internet(te=2)
         for tunnel in twin.te_tunnels:
             internet.control.install_te_tunnel(tunnel)
-        assert (
-            metrics.get("dataplane.compiled.invalidations") > flushes
-        )
+        assert metrics.get("engine.cache_flushes") > flushes
+        assert not engine._trajectories
         # ...after which the patched internet forwards exactly like a
         # twin that was *born* with the tunnels (TE install is the last
         # build step, so the underlying topologies are identical).
@@ -150,12 +182,12 @@ class TestCompiledIdentityWithTe:
         assert during == te_native
         assert during != before
         # ...and teardown must flush again and restore the IGP paths.
-        flushes = metrics.get("dataplane.compiled.invalidations")
+        assert engine._trajectories
+        flushes = metrics.get("engine.cache_flushes")
         for tunnel in twin.te_tunnels:
             internet.control.remove_te_tunnel(tunnel.head, tunnel.tail)
-        assert (
-            metrics.get("dataplane.compiled.invalidations") > flushes
-        )
+        assert metrics.get("engine.cache_flushes") > flushes
+        assert not engine._trajectories
         assert all_paths() == before
 
     def test_teardown_of_unknown_tunnel_raises(self):
@@ -191,19 +223,25 @@ def _assert_results_equal(left, right):
 
 
 class TestMixedCampaigns:
-    def test_compiled_equals_scalar_with_te(self):
-        # Same batch window on both sides: windowed probing keeps
-        # extra probes in flight behind a stop (they spend budget), so
-        # only the compiled plane may differ between the two runs.
-        scalar = _context(batch_window=8)
-        compiled = _context(compiled_plane=True, batch_window=8)
-        _assert_results_equal(compiled.result, scalar.result)
+    def test_walked_equals_cached_with_te(self):
+        def run(internet):
+            return Campaign(
+                internet.prober,
+                internet.vps,
+                internet.asn_of_address,
+                CampaignConfig(
+                    suspicious_asns=tuple(internet.transit_asns)
+                ),
+            ).run(internet.campaign_targets())
+
+        _assert_results_equal(
+            run(te_internet()),
+            run(te_internet(trajectory_cache=False)),
+        )
 
     def test_chaos_flap_campaign_completes_with_te(self):
-        context = _context(
-            fault_profile="flap", compiled_plane=True, batch_window=8,
-            max_retries=1,
-        )
+        context = _context(fault_profile="flap", max_retries=1)
+        assert context.campaign.obs.metrics.get("faults.flaps") >= 1
         result = context.result
         assert not result.partial
         assert result.traces

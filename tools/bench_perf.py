@@ -390,21 +390,6 @@ def main() -> int:
         snapshot["traceroute_speedup"] = round(
             uncached["mean_us"] / cached["mean_us"], 2
         )
-    compiled_speedup = {}
-    for name, base_name, compiled_name in (
-        ("traceroute", "test_perf_full_traceroute_uncached",
-         "test_perf_full_traceroute_compiled"),
-        ("cold_routing", "test_perf_cold_vs_warm_routing",
-         "test_perf_cold_routing_compiled"),
-    ):
-        base = benches.get(base_name)
-        compiled = benches.get(compiled_name)
-        if base and compiled and compiled["mean_us"]:
-            compiled_speedup[name] = round(
-                base["mean_us"] / compiled["mean_us"], 2
-            )
-    if compiled_speedup:
-        snapshot["compiled_speedup"] = compiled_speedup
     output.write_text(json.dumps(snapshot, indent=2) + "\n")
     print(f"wrote {output}")
     return 0

@@ -201,18 +201,6 @@ def render(summary: dict) -> str:
     )
     lines.append("")
 
-    compiled = {
-        name: value
-        for name, value in summary["counters"].items()
-        if name.startswith("dataplane.compiled.")
-    }
-    if any(compiled.values()):
-        lines.append("## Compiled data plane")
-        for name, value in sorted(compiled.items()):
-            label = name[len("dataplane.compiled."):]
-            lines.append(f"  {label:<22s} {value:>8d}")
-        lines.append("")
-
     monitor = {
         name: value
         for name, value in summary["counters"].items()
