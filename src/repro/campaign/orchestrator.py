@@ -40,6 +40,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import shlex
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -310,13 +311,16 @@ class CampaignResult:
         total = self.probes_sent + self.revelation_probes
         return total / (rate_pps * teams)
 
-    def stop_summary(self) -> Optional[str]:
+    def stop_summary(
+        self, command: str = "repro campaign"
+    ) -> Optional[str]:
         """One-line account of an early stop, with a resume hint.
 
         None for complete runs.  When the run was checkpointed the
-        summary says where the snapshot lives and how to resume it;
-        otherwise it points at ``--checkpoint`` so the *next*
-        interruption is recoverable.
+        summary says where the snapshot lives and how to resume it —
+        ``command`` plus ``--resume``, so pass the command line that
+        keys the same snapshot; otherwise it points at
+        ``--checkpoint`` so the *next* interruption is recoverable.
         """
         if not self.partial:
             return None
@@ -328,7 +332,7 @@ class CampaignResult:
             return (
                 f"{reason}; progress is checkpointed in "
                 f"{self.checkpoint_dir} — resume with: "
-                f"repro campaign --resume {root}"
+                f"{command} --resume {shlex.quote(root)}"
             )
         return (
             f"{reason}; progress was not checkpointed — add "

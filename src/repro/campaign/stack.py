@@ -1,0 +1,76 @@
+"""The campaign stack every front end builds.
+
+``CampaignContext`` (``repro campaign``), served tenants, their
+standalone twin and monitor chains all measure through
+:func:`probe_backend`.  ``ContextConfig`` and ``TenantSpec`` share
+the policy fields ``topology``, ``probe_budget``, ``max_retries``,
+``breaker_threshold``, ``fault_profile``, ``checkpoint_dir`` and
+``resume``, mapped here to the orchestrator and its checkpoint — so
+a served tenant and a CLI run of one spec land in one snapshot.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from repro.campaign.orchestrator import Campaign, CampaignConfig
+from repro.measure import SimBackend
+
+__all__ = ["campaign_for", "checkpoint_for", "probe_backend"]
+
+
+def probe_backend(engine, fault_profile: Optional[str] = None):
+    """The simulator backend over ``engine``, behind the named
+    chaos profile when one is given."""
+    backend = SimBackend(engine)
+    if fault_profile is None:
+        return backend
+    # Chaos and the warehouse are imported on first use, keeping them
+    # off the import path of clean, uncheckpointed runs.
+    from repro.faults import FaultyBackend
+    from repro.faults import fault_profile as shipped_profile
+
+    return FaultyBackend(backend, shipped_profile(fault_profile))
+
+
+def campaign_for(
+    spec,
+    internet,
+    prober,
+    workers: int = 1,
+    revelation_technique: Optional[str] = None,
+) -> Campaign:
+    """The orchestrator a spec's policy fields map to."""
+    return Campaign(
+        prober,
+        internet.vps,
+        internet.asn_of_address,
+        CampaignConfig(
+            suspicious_asns=tuple(internet.transit_asns),
+            workers=workers,
+            probe_budget=spec.probe_budget,
+            max_retries=spec.max_retries,
+            breaker_threshold=spec.breaker_threshold,
+            revelation_technique=revelation_technique,
+        ),
+    )
+
+
+def checkpoint_for(spec, revelation_technique: Optional[str] = None):
+    """The spec's warehouse checkpoint (None when it names no
+    ``checkpoint_dir``), keyed on the run's snapshot descriptor."""
+    if spec.checkpoint_dir is None:
+        return None
+    # ``repro.serve`` imports its sessions, which import this module.
+    from repro.serve.registry import snapshot_descriptor
+    from repro.store import CampaignCheckpoint
+
+    return CampaignCheckpoint(
+        spec.checkpoint_dir,
+        topology=snapshot_descriptor(
+            spec.topology,
+            fault_profile=spec.fault_profile,
+            revelation_technique=revelation_technique,
+        ),
+        resume=spec.resume,
+    )

@@ -5,15 +5,16 @@
 * ``repro emulate <scenario>`` — Fig. 4-style transcripts from the
   emulated testbed;
 * ``repro campaign`` — the full synthetic-Internet campaign with the
-  per-AS summary tables (optionally saving the dataset as JSON);
+  per-AS summary tables (optionally saving the dataset as JSON), and,
+  with ``--fault-profile``, measured through an injected fault profile
+  (loss, latency, rate limiting, blackouts, flaps, malformed replies)
+  with quarantine counts and the data-quality grade; ``repro chaos``
+  is the same command with chaos defaults;
 * ``repro experiment <id>`` — regenerate one of the paper's tables or
   figures (``fig01`` … ``fig11``, ``table1`` … ``table6``);
 * ``repro diff SNAP_A SNAP_B`` — longitudinal comparison of two
   campaign snapshots (tunnels appeared/disappeared/length-changed,
   per-AS deltas);
-* ``repro chaos`` — the campaign measured through an injected fault
-  profile (loss, latency, rate limiting, blackouts, flaps, malformed
-  replies), reporting quarantine counts and the data-quality grade;
 * ``repro serve`` — many tenant campaigns multiplexed over shared
   rendered snapshots by the async campaign server (fair scheduling,
   per-tenant budgets and chaos, combined JSONL event stream);
@@ -32,7 +33,11 @@ uninterrupted one.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import shlex
 import sys
+from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.experiments import (
@@ -55,6 +60,7 @@ from repro.experiments import (
     tnt_crossval,
 )
 from repro.experiments.common import ContextConfig, campaign_context
+from repro.serve.registry import TopologySpec
 from repro.synth.gns3 import SCENARIOS, build_gns3
 
 __all__ = ["EXPERIMENTS", "main"]
@@ -81,6 +87,138 @@ EXPERIMENTS: Dict[str, object] = {
 }
 
 
+def _add_campaign_arguments(parser, fault_flags):
+    """The ``campaign`` options (shared by its ``chaos`` alias)."""
+    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--seed", type=int, default=2017)
+    parser.add_argument("--vantage-points", type=int, default=8)
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes for the parallel trajectory prewarm "
+        "(results are bit-identical to a serial run)",
+    )
+    parser.add_argument(
+        "--probe-budget", type=int, default=None, metavar="N",
+        help="stop cleanly (partial result) after N probes",
+    )
+    parser.add_argument(
+        "--max-retries", type=int, default=0, metavar="N",
+        help="re-probe unresponsive (*) hops up to N times",
+    )
+    parser.add_argument(
+        *fault_flags, dest="fault_profile", metavar="NAME", default=None,
+        help="inject this chaos profile between the measurement "
+        "service and the simulator (see --list)",
+    )
+    parser.add_argument(
+        "--list", action="store_true", dest="list_profiles",
+        help="list shipped fault profiles and exit",
+    )
+    parser.add_argument(
+        "--breaker-threshold", type=int, default=0, metavar="N",
+        help="consecutive ping losses before a target is parked "
+        "until the end of the phase (0 disables the breaker)",
+    )
+    store_group = parser.add_mutually_exclusive_group()
+    store_group.add_argument(
+        "--checkpoint", metavar="DIR", default=None,
+        help="checkpoint the run into a warehouse snapshot under DIR "
+        "(each completed trace/ping/revelation is persisted; an "
+        "interrupted run becomes resumable)",
+    )
+    store_group.add_argument(
+        "--resume", metavar="DIR", default=None,
+        help="resume the campaign checkpointed under DIR; completed "
+        "work is restored, only the remainder is probed, and the "
+        "result is bit-identical to an uninterrupted run",
+    )
+    log_group = parser.add_mutually_exclusive_group()
+    log_group.add_argument(
+        "--record", metavar="PATH", default=None,
+        help="record every probe exchange to a JSONL probe log",
+    )
+    log_group.add_argument(
+        "--replay", metavar="PATH", default=None,
+        help="serve probes from a recorded probe log (no simulation)",
+    )
+    parser.add_argument(
+        "--stats", action="store_true",
+        help="print per-phase timings and engine cache counters",
+    )
+    parser.add_argument(
+        "--save", metavar="PATH", default=None,
+        help="write the campaign dataset as JSON",
+    )
+    parser.add_argument(
+        "--json", metavar="PATH", default=None,
+        help="write the run summary (volumes, data_quality) as JSON",
+    )
+    parser.add_argument(
+        "--quarantine-out", metavar="PATH", default=None,
+        help="write the quarantined-reply records as JSONL",
+    )
+    parser.add_argument(
+        "--report", metavar="PATH", default=None,
+        help="write a markdown campaign report",
+    )
+    parser.add_argument(
+        "--trace-out", metavar="PATH", default=None,
+        help="write the structured event trace as JSONL (all levels)",
+    )
+    parser.add_argument(
+        "--metrics-out", metavar="PATH", default=None,
+        help="write the metrics registry snapshot (.prom/.txt for "
+        "Prometheus text format, anything else for JSON)",
+    )
+    return parser
+
+
+def _add_chain_arguments(parser):
+    """The chain options ``monitor`` and ``fleet`` share (the
+    :class:`~repro.monitor.loop.ChainSpec` fields)."""
+    parser.add_argument(
+        "--epochs", type=int, default=3, metavar="N",
+        help="monitoring epochs to run (epoch 0 is the baseline "
+        "full campaign)",
+    )
+    parser.add_argument("--scale", type=float, default=0.3)
+    parser.add_argument("--seed", type=int, default=2017)
+    parser.add_argument("--vantage-points", type=int, default=4)
+    parser.add_argument("--stubs-per-transit", type=int, default=3)
+    parser.add_argument(
+        "--churn-profile", default="gentle", metavar="NAME",
+        help="shipped churn profile applied between epochs "
+        "(see 'repro monitor --list')",
+    )
+    parser.add_argument(
+        "--churn-seed", type=int, default=None, metavar="N",
+        help="churn RNG seed (defaults to --seed); fleet chain i "
+        "uses base+i",
+    )
+    parser.add_argument(
+        "--fault-profile", metavar="NAME", default=None,
+        help="non-mutating chaos profile injected under every epoch "
+        "(flap profiles are refused — churn owns the topology)",
+    )
+    parser.add_argument(
+        "--probe-budget", type=int, default=None, metavar="N",
+        help="per-epoch campaign probe budget per chain; exhausting "
+        "it stops the chain with a resumable partial epoch",
+    )
+
+
+def _chain_fields(args: argparse.Namespace) -> Dict[str, object]:
+    """The :func:`_add_chain_arguments` values, as config fields."""
+    return {
+        name: getattr(args, name)
+        for name in (
+            "epochs", "scale", "seed", "vantage_points",
+            "stubs_per_transit", "churn_profile", "churn_seed",
+            "fault_profile", "probe_budget",
+        )
+    }
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -105,72 +243,26 @@ def _build_parser() -> argparse.ArgumentParser:
         help="named target, e.g. CE2.left or PE2.left",
     )
 
-    campaign = sub.add_parser(
-        "campaign", help="run the synthetic-Internet campaign"
+    _add_campaign_arguments(
+        sub.add_parser(
+            "campaign", help="run the synthetic-Internet campaign"
+        ),
+        ("--fault-profile",),
     )
-    campaign.add_argument("--scale", type=float, default=1.0)
-    campaign.add_argument("--seed", type=int, default=2017)
-    campaign.add_argument("--vantage-points", type=int, default=8)
-    campaign.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the parallel trajectory prewarm "
-        "(results are bit-identical to a serial run)",
-    )
-    campaign.add_argument(
-        "--probe-budget", type=int, default=None, metavar="N",
-        help="stop cleanly (partial result) after N probes",
-    )
-    campaign.add_argument(
-        "--max-retries", type=int, default=0, metavar="N",
-        help="re-probe unresponsive (*) hops up to N times",
-    )
-    campaign.add_argument(
-        "--fault-profile", metavar="NAME", default=None,
-        help="inject this chaos profile between the measurement "
-        "service and the simulator (see 'repro chaos --list')",
-    )
-    store_group = campaign.add_mutually_exclusive_group()
-    store_group.add_argument(
-        "--checkpoint", metavar="DIR", default=None,
-        help="checkpoint the run into a warehouse snapshot under DIR "
-        "(each completed trace/ping/revelation is persisted; an "
-        "interrupted run becomes resumable)",
-    )
-    store_group.add_argument(
-        "--resume", metavar="DIR", default=None,
-        help="resume the campaign checkpointed under DIR; completed "
-        "work is restored, only the remainder is probed, and the "
-        "result is bit-identical to an uninterrupted run",
-    )
-    log_group = campaign.add_mutually_exclusive_group()
-    log_group.add_argument(
-        "--record", metavar="PATH", default=None,
-        help="record every probe exchange to a JSONL probe log",
-    )
-    log_group.add_argument(
-        "--replay", metavar="PATH", default=None,
-        help="serve probes from a recorded probe log (no simulation)",
-    )
-    campaign.add_argument(
-        "--stats", action="store_true",
-        help="print per-phase timings and engine cache counters",
-    )
-    campaign.add_argument(
-        "--save", metavar="PATH", default=None,
-        help="write the campaign dataset as JSON",
-    )
-    campaign.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="write a markdown campaign report",
-    )
-    campaign.add_argument(
-        "--trace-out", metavar="PATH", default=None,
-        help="write the structured event trace as JSONL (all levels)",
-    )
-    campaign.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="write the metrics registry snapshot (.prom/.txt for "
-        "Prometheus text format, anything else for JSON)",
+    # The chaos alias: the campaign command with chaos defaults.
+    _add_campaign_arguments(
+        sub.add_parser(
+            "chaos",
+            help="alias: repro campaign under an injected fault "
+            "profile (hostile by default)",
+        ),
+        ("--fault-profile", "--profile"),
+    ).set_defaults(
+        fault_profile="hostile",
+        scale=0.5,
+        vantage_points=4,
+        max_retries=1,
+        breaker_threshold=3,
     )
 
     experiment = sub.add_parser(
@@ -229,41 +321,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "unless --list",
     )
     monitor.add_argument(
-        "--epochs", type=int, default=3, metavar="N",
-        help="monitoring epochs to run (epoch 0 is the baseline "
-        "full campaign)",
-    )
-    monitor.add_argument(
-        "--churn-profile", default="gentle", metavar="NAME",
-        help="shipped churn profile applied between epochs "
-        "(see --list)",
-    )
-    monitor.add_argument(
         "--list", action="store_true", dest="list_profiles",
         help="list shipped churn profiles and exit",
     )
-    monitor.add_argument("--scale", type=float, default=0.3)
-    monitor.add_argument("--seed", type=int, default=2017)
-    monitor.add_argument("--vantage-points", type=int, default=4)
-    monitor.add_argument("--stubs-per-transit", type=int, default=3)
-    monitor.add_argument(
-        "--churn-seed", type=int, default=None, metavar="N",
-        help="churn RNG seed (defaults to --seed)",
-    )
+    _add_chain_arguments(monitor)
     monitor.add_argument(
         "--full", action="store_true",
         help="disable the incremental path: re-reveal every pair "
         "every epoch (the control arm)",
-    )
-    monitor.add_argument(
-        "--fault-profile", metavar="NAME", default=None,
-        help="non-mutating chaos profile injected under every epoch "
-        "(flap profiles are refused — churn owns the topology)",
-    )
-    monitor.add_argument(
-        "--probe-budget", type=int, default=None, metavar="N",
-        help="per-epoch campaign probe budget; exhausting it stops "
-        "the chain with a resumable partial epoch",
     )
     monitor.add_argument(
         "--json", metavar="PATH", default=None,
@@ -287,53 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "export", help="write every figure's data series as CSV"
     )
     export.add_argument("directory")
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="run the campaign under an injected fault profile",
-    )
-    chaos.add_argument(
-        "--profile", default="hostile",
-        help="shipped fault profile name (see --list)",
-    )
-    chaos.add_argument(
-        "--list", action="store_true", dest="list_profiles",
-        help="list shipped fault profiles and exit",
-    )
-    chaos.add_argument("--scale", type=float, default=0.5)
-    chaos.add_argument("--seed", type=int, default=2017)
-    chaos.add_argument("--vantage-points", type=int, default=4)
-    chaos.add_argument(
-        "--probe-budget", type=int, default=None, metavar="N",
-        help="stop cleanly (partial result) after N probes",
-    )
-    chaos.add_argument(
-        "--max-retries", type=int, default=1, metavar="N",
-        help="re-probe unresponsive (*) hops up to N times",
-    )
-    chaos.add_argument(
-        "--breaker-threshold", type=int, default=3, metavar="N",
-        help="consecutive ping losses before a target is parked "
-        "until the end of the phase (0 disables the breaker)",
-    )
-    chaos_store = chaos.add_mutually_exclusive_group()
-    chaos_store.add_argument(
-        "--checkpoint", metavar="DIR", default=None,
-        help="checkpoint the faulty run into a warehouse snapshot "
-        "under DIR (resume is bit-identical, faults included)",
-    )
-    chaos_store.add_argument(
-        "--resume", metavar="DIR", default=None,
-        help="resume the chaos run checkpointed under DIR",
-    )
-    chaos.add_argument(
-        "--quarantine-out", metavar="PATH", default=None,
-        help="write the quarantined-reply records as JSONL",
-    )
-    chaos.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the run summary (data_quality included) as JSON",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -370,8 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--fault-profile", metavar="NAME", default=None,
         help="chaos profile injected per tenant; network-mutating "
-        "profiles are refused on shared snapshots (see 'repro chaos "
-        "--list')",
+        "profiles are refused on shared snapshots (see 'repro "
+        "campaign --list')",
     )
     serve.add_argument(
         "--max-targets", type=int, default=None, metavar="N",
@@ -403,31 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="concurrent monitor chains (chain i churns with seed "
         "base+i over a private copy-on-churn twin)",
     )
-    fleet.add_argument("--epochs", type=int, default=3, metavar="N")
-    fleet.add_argument("--scale", type=float, default=0.3)
-    fleet.add_argument("--seed", type=int, default=2017)
-    fleet.add_argument("--vantage-points", type=int, default=4)
-    fleet.add_argument("--stubs-per-transit", type=int, default=3)
-    fleet.add_argument(
-        "--churn-profile", default="gentle", metavar="NAME",
-        help="shipped churn profile applied between epochs "
-        "(see 'repro monitor --list')",
-    )
-    fleet.add_argument(
-        "--churn-seed", type=int, default=None, metavar="N",
-        help="base churn seed; chain i uses base+i (defaults to "
-        "--seed)",
-    )
-    fleet.add_argument(
-        "--fault-profile", metavar="NAME", default=None,
-        help="non-mutating chaos profile injected under every "
-        "chain's epochs (flap profiles are refused — churn owns "
-        "each twin)",
-    )
-    fleet.add_argument(
-        "--probe-budget", type=int, default=None, metavar="N",
-        help="per-epoch campaign probe budget per chain",
-    )
+    _add_chain_arguments(fleet)
     fleet.add_argument(
         "--restart-budget", type=int, default=3, metavar="N",
         help="deaths tolerated per chain before it is parked "
@@ -482,58 +476,93 @@ def _cmd_emulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _resume_command(args: argparse.Namespace) -> str:
+    """The ``repro campaign`` command line keying this run's snapshot
+    (the resume hint's prefix)."""
+    words = ["repro", "campaign"]
+    for name in ("scale", "seed", "vantage_points", "fault_profile",
+                 "max_retries", "breaker_threshold"):
+        value = getattr(args, name)
+        if value is not None:
+            words += ["--" + name.replace("_", "-"), str(value)]
+    return shlex.join(words)
+
+
+@contextlib.contextmanager
+def _event_trace(path: Optional[str]):
+    """Mirror the global event log, all levels, to JSONL at ``path``
+    for the block (a no-op without a path).  Registries appended to
+    the yielded list close the trace with a ``campaign.metrics``
+    counters event (the digest ``trace_inspect.py`` reads)."""
+    registries: List[object] = []
+    if not path:
+        yield registries
+        return
+    from repro.obs import DEBUG, JsonlSink, get_event_log
+
+    # Attached before the run's stack exists: the global event log is
+    # exactly what lets --trace-out capture a run not yet built.
+    sink = JsonlSink(path)
+    log = get_event_log()
+    log.attach(sink)
+    log.set_level(DEBUG)
+    try:
+        yield registries
+    finally:
+        for registry in registries:
+            log.emit(
+                "campaign.metrics", counters=registry.counters_snapshot()
+            )
+        log.detach(sink)
+        sink.close()
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    trace_sink = None
-    if args.trace_out:
-        from repro.obs import DEBUG, JsonlSink, get_event_log
+    from repro.faults import FAULT_PROFILES, fault_profile
 
-        # Attach before the campaign stack exists: the global event
-        # log is exactly what lets --trace-out capture a run the CLI
-        # has not built yet.
-        trace_sink = JsonlSink(args.trace_out)
-        log = get_event_log()
-        log.attach(trace_sink)
-        log.set_level(DEBUG)
-    from repro.store import StoreMismatch
-
+    if args.list_profiles:
+        for name, profile in FAULT_PROFILES.items():
+            kind = (
+                "inert" if profile.inert
+                else "network flaps" if profile.mutates_network
+                else "reply faults"
+            )
+            print(f"{name:12s} {kind}")
+        return 0
     if args.fault_profile is not None:
-        from repro.faults import fault_profile
-
         try:
             fault_profile(args.fault_profile)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    try:
-        context = campaign_context(
-            ContextConfig(
-                scale=args.scale,
-                seed=args.seed,
-                vantage_points=args.vantage_points,
-                workers=args.workers,
-                probe_budget=args.probe_budget,
-                max_retries=args.max_retries,
-                record_path=args.record,
-                replay_path=args.replay,
-                checkpoint_dir=args.resume or args.checkpoint,
-                resume=args.resume is not None,
-                fault_profile=args.fault_profile,
+    from repro.store import StoreMismatch
+
+    with _event_trace(args.trace_out) as traced:
+        try:
+            context = campaign_context(
+                ContextConfig(
+                    topology=TopologySpec(
+                        scale=args.scale,
+                        seed=args.seed,
+                        vantage_points=args.vantage_points,
+                    ),
+                    workers=args.workers,
+                    probe_budget=args.probe_budget,
+                    max_retries=args.max_retries,
+                    breaker_threshold=args.breaker_threshold or None,
+                    record_path=args.record,
+                    replay_path=args.replay,
+                    checkpoint_dir=args.resume or args.checkpoint,
+                    resume=args.resume is not None,
+                    fault_profile=args.fault_profile,
+                )
             )
-        )
-    except StoreMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        except StoreMismatch as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        traced.append(context.internet.engine.obs.metrics)
     result = context.result
     registry = context.internet.engine.obs.metrics
-    if trace_sink is not None:
-        from repro.obs import get_event_log
-
-        log = get_event_log()
-        log.emit(
-            "campaign.metrics", counters=registry.counters_snapshot()
-        )
-        log.detach(trace_sink)
-        trace_sink.close()
     if args.metrics_out:
         from repro.obs.export import write_metrics
 
@@ -543,14 +572,24 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         f"{len(result.traces)} traces, {len(result.pairs)} candidate "
         f"pairs, {len(result.successful_revelations())} tunnels revealed"
     )
-    if result.partial:
-        print(f"PARTIAL RUN: {result.stop_summary()}")
-    if args.fault_profile is not None and result.data_quality:
-        quality = result.data_quality
+    quality = result.data_quality or {}
+    if args.fault_profile is not None:
+        counters = quality.get("counters", {})
         print(
-            f"data quality: {quality.get('grade')} "
-            f"(confidence {quality.get('confidence')}, "
-            f"response rate {quality.get('response_rate')})"
+            f"faults injected: {counters.get('faults_injected', 0)}, "
+            f"quarantined: {counters.get('quarantined', 0)}, "
+            f"retries exhausted: {counters.get('retries_exhausted', 0)}, "
+            f"pings parked: {counters.get('pings_parked', 0)}"
+        )
+        print(
+            f"data quality: {quality.get('grade', 'n/a')} "
+            f"(confidence {quality.get('confidence', 'n/a')}, "
+            f"response rate {quality.get('response_rate', 'n/a')})"
+        )
+    if result.partial:
+        print(
+            "PARTIAL RUN: "
+            + result.stop_summary(command=_resume_command(args))
         )
     if result.checkpoint_dir:
         print(f"snapshot: {result.checkpoint_dir}")
@@ -587,9 +626,31 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             metadata={"seed": args.seed, "scale": args.scale},
         )
         print(f"\ndataset written to {args.save}")
+    if args.quarantine_out:
+        with open(args.quarantine_out, "w", encoding="utf-8") as sink:
+            for record in result.quarantine:
+                sink.write(json.dumps(record, sort_keys=True))
+                sink.write("\n")
+        print(f"quarantine log written to {args.quarantine_out}")
+    if args.json:
+        document = {
+            "profile": args.fault_profile,
+            "seed": args.seed,
+            "scale": args.scale,
+            "partial": result.partial,
+            "volumes": {
+                "traces": len(result.traces),
+                "pings": len(result.pings),
+                "pairs": len(result.pairs),
+                "revelations": len(result.revelations),
+                "revealed": len(result.successful_revelations()),
+                "quarantined": len(result.quarantine),
+            },
+            "data_quality": quality,
+        }
+        Path(args.json).write_text(json.dumps(document, indent=1))
+        print(f"summary written to {args.json}")
     if args.report:
-        from pathlib import Path
-
         from repro.campaign.report import render_report
 
         names = {
@@ -634,7 +695,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        result = module.run(ContextConfig(**overrides))
+        result = module.run(
+            ContextConfig(topology=TopologySpec(**overrides))
+        )
     else:
         result = module.run()
     print(result.text)
@@ -647,10 +710,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        import json
-
-        from pathlib import Path
-
         Path(args.json).write_text(json.dumps(document, indent=1))
         print(f"document written to {args.json}")
     return 0
@@ -666,10 +725,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         return 2
     print(render_diff(document))
     if args.json:
-        import json
-
-        from pathlib import Path
-
         Path(args.json).write_text(json.dumps(document, indent=1))
         print(f"diff written to {args.json}")
     return 0
@@ -699,14 +754,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    trace_sink = None
-    if args.trace_out:
-        from repro.obs import DEBUG, JsonlSink, get_event_log
-
-        trace_sink = JsonlSink(args.trace_out)
-        log = get_event_log()
-        log.attach(trace_sink)
-        log.set_level(DEBUG)
     from repro.monitor import MonitorConfig, MonitorLoop
     from repro.store import (
         StoreMismatch,
@@ -715,42 +762,21 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         render_timeline,
     )
 
-    try:
-        loop = MonitorLoop(
-            MonitorConfig(
-                warehouse=args.warehouse,
-                epochs=args.epochs,
-                scale=args.scale,
-                seed=args.seed,
-                vantage_points=args.vantage_points,
-                stubs_per_transit=args.stubs_per_transit,
-                churn_profile=args.churn_profile,
-                churn_seed=args.churn_seed,
-                incremental=not args.full,
-                fault_profile=args.fault_profile,
-                probe_budget=args.probe_budget,
-            )
-        )
-        report = loop.run()
-    except (StoreMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if trace_sink is not None:
-            from repro.obs import get_event_log
-
-            log = get_event_log()
-            if "loop" in locals():
-                # The final counters event carries the monitor.*
-                # family for the trace digest (`trace_inspect.py`).
-                log.emit(
-                    "campaign.metrics",
-                    counters=(
-                        loop.obs.metrics.counters_snapshot()
-                    ),
+    with _event_trace(args.trace_out) as traced:
+        try:
+            loop = MonitorLoop(
+                MonitorConfig(
+                    warehouse=args.warehouse,
+                    incremental=not args.full,
+                    **_chain_fields(args),
                 )
-            log.detach(trace_sink)
-            trace_sink.close()
+            )
+            # The closing counters carry the monitor.* family.
+            traced.append(loop.obs.metrics)
+            report = loop.run()
+        except (StoreMismatch, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     for outcome in report.epochs:
         state = (
             "partial" if outcome.partial
@@ -774,9 +800,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     print()
     print(render_timeline(timeline))
     if args.json:
-        import json
-        from pathlib import Path
-
         Path(args.json).write_text(json.dumps(timeline, indent=1))
         print(f"timeline written to {args.json}")
     return 0
@@ -799,8 +822,6 @@ def _parse_kill_plan(specs) -> Dict[int, int]:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import signal
-    from pathlib import Path
-
     from repro.fleet import FleetConfig, FleetSupervisor
     from repro.store import render_fleet
 
@@ -809,20 +830,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         config = FleetConfig(
             warehouse=args.warehouse,
             chains=args.chains,
-            epochs=args.epochs,
-            scale=args.scale,
-            seed=args.seed,
-            vantage_points=args.vantage_points,
-            stubs_per_transit=args.stubs_per_transit,
-            churn_profile=args.churn_profile,
-            churn_seed=args.churn_seed,
-            fault_profile=args.fault_profile,
-            probe_budget=args.probe_budget,
             restart_budget=args.restart_budget,
             epoch_deadline=args.epoch_deadline,
             backoff_base_ms=args.backoff_base_ms,
             alert_factor=args.alert_factor,
             alert_min_events=args.alert_min_events,
+            **_chain_fields(args),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -873,112 +886,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     print()
     print(render_fleet(report.document))
     if args.json:
-        import json
-
         Path(args.json).write_text(
             json.dumps(report.to_dict(), indent=1)
         )
         print(f"fleet report written to {args.json}")
-    return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults import FAULT_PROFILES, fault_profile
-
-    if args.list_profiles:
-        for name, profile in FAULT_PROFILES.items():
-            kind = (
-                "inert" if profile.inert
-                else "network flaps" if profile.mutates_network
-                else "reply faults"
-            )
-            print(f"{name:12s} {kind}")
-        return 0
-    try:
-        fault_profile(args.profile)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    from repro.store import StoreMismatch
-
-    try:
-        context = campaign_context(
-            ContextConfig(
-                scale=args.scale,
-                seed=args.seed,
-                vantage_points=args.vantage_points,
-                probe_budget=args.probe_budget,
-                max_retries=args.max_retries,
-                breaker_threshold=args.breaker_threshold or None,
-                fault_profile=args.profile,
-                checkpoint_dir=args.resume or args.checkpoint,
-                resume=args.resume is not None,
-            )
-        )
-    except StoreMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = context.result
-    quality = result.data_quality or {}
-    counters = quality.get("counters", {})
-    print(
-        f"chaos profile {args.profile!r}: "
-        f"{len(result.traces)} traces, {len(result.pairs)} candidate "
-        f"pairs, {len(result.successful_revelations())} tunnels revealed"
-    )
-    print(
-        f"faults injected: {counters.get('faults_injected', 0)}, "
-        f"quarantined: {counters.get('quarantined', 0)}, "
-        f"retries exhausted: {counters.get('retries_exhausted', 0)}, "
-        f"pings parked: {counters.get('pings_parked', 0)}"
-    )
-    print(
-        f"data quality: {quality.get('grade', 'n/a')} "
-        f"(confidence {quality.get('confidence', 'n/a')}, "
-        f"response rate {quality.get('response_rate', 'n/a')})"
-    )
-    if result.partial:
-        summary = result.stop_summary()
-        if summary:
-            # The orchestrator's hint names the generic subcommand;
-            # a chaos run must resume under the same fault profile.
-            summary = summary.replace(
-                "repro campaign --resume",
-                f"repro chaos --profile {args.profile} --resume",
-            )
-        print(f"PARTIAL RUN: {summary}")
-    if result.checkpoint_dir:
-        print(f"snapshot: {result.checkpoint_dir}")
-    if args.quarantine_out:
-        import json
-
-        with open(args.quarantine_out, "w", encoding="utf-8") as sink:
-            for record in result.quarantine:
-                sink.write(json.dumps(record, sort_keys=True))
-                sink.write("\n")
-        print(f"quarantine log written to {args.quarantine_out}")
-    if args.json:
-        import json
-
-        from pathlib import Path
-
-        document = {
-            "profile": args.profile,
-            "seed": args.seed,
-            "scale": args.scale,
-            "partial": result.partial,
-            "volumes": {
-                "traces": len(result.traces),
-                "pings": len(result.pings),
-                "pairs": len(result.pairs),
-                "revelations": len(result.revelations),
-                "revealed": len(result.successful_revelations()),
-                "quarantined": len(result.quarantine),
-            },
-            "data_quality": quality,
-        }
-        Path(args.json).write_text(json.dumps(document, indent=1))
-        print(f"summary written to {args.json}")
     return 0
 
 
@@ -1006,7 +917,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import AdmissionError, ServeClient, TenantSpec, TopologySpec
+    from repro.serve import AdmissionError, ServeClient, TenantSpec
 
     if args.tenants < 1 or args.snapshots < 1:
         print(
@@ -1069,10 +980,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"(~{reuse['saved_ms']} ms saved)"
         )
         if args.json:
-            import json
-
-            from pathlib import Path
-
             Path(args.json).write_text(json.dumps(stats, indent=1))
             print(f"summary written to {args.json}")
         if args.events_out:
@@ -1105,7 +1012,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "diff": _cmd_diff,
         "monitor": _cmd_monitor,
         "fleet": _cmd_fleet,
-        "chaos": _cmd_chaos,
+        "chaos": _cmd_campaign,
         "configs": _cmd_configs,
         "export": _cmd_export,
         "serve": _cmd_serve,

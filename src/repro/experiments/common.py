@@ -13,14 +13,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from repro.campaign.orchestrator import Campaign, CampaignConfig, CampaignResult
+from repro.campaign.orchestrator import CampaignResult
 from repro.campaign.postprocess import Aggregator
+from repro.campaign.stack import campaign_for, checkpoint_for, probe_backend
 from repro.core.frpla import FrplaAnalyzer
-from repro.measure import RecordingBackend, ReplayBackend, SimBackend
+from repro.measure import RecordingBackend, ReplayBackend
 from repro.probing.prober import Prober
-from repro.serve.registry import TopologySpec, default_registry
-from repro.synth.internet import InternetConfig, build_internet
-from repro.synth.profiles import scaled_profiles
+from repro.serve.registry import (
+    TopologySpec,
+    default_registry,
+    render_internet,
+)
 
 __all__ = [
     "ContextConfig",
@@ -32,13 +35,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ContextConfig:
-    """Parameters for a reusable campaign context."""
+    """Parameters for a reusable campaign context.
 
-    scale: float = 1.0  #: AS size multiplier (see ``paper_profiles``)
-    seed: int = 2017
-    vantage_points: int = 10
-    stubs_per_transit: int = 6
-    ttl_propagate_everywhere: bool = False  #: True = visible tunnels
+    The same shape as :class:`~repro.serve.session.TenantSpec`: the
+    measured network is a :class:`TopologySpec`, and the campaign
+    policy fields map to the orchestrator through
+    :mod:`repro.campaign.stack`.
+    """
+
+    topology: TopologySpec = TopologySpec()
     workers: int = 1  #: campaign prewarm worker processes
     #: Global probe budget; None = unlimited (partial results when hit).
     probe_budget: Optional[int] = None
@@ -62,11 +67,6 @@ class ContextConfig:
     #: Circuit-breaker threshold for the campaign's ping phase
     #: (consecutive losses before a target is parked); None disables.
     breaker_threshold: Optional[int] = None
-    #: RSVP-TE tunnels installed per transit AS (0 = pure-LDP paper
-    #: baseline; see :class:`repro.synth.internet.InternetConfig`).
-    te_tunnels_per_transit: int = 0
-    #: Render the TE tunnels visible (TTL propagated into the TE LSE).
-    te_ttl_propagate: bool = False
     #: Run revelation through this registry technique's trigger and
     #: strategy (e.g. ``"tnt"``) instead of the classic combined
     #: recursion; None keeps the paper's untriggered behaviour.
@@ -89,59 +89,25 @@ class CampaignContext:
             # Flap-style profiles rewire links mid-run, so they get a
             # private, unfrozen build; everything else shares the
             # process-wide rendered snapshot below.
-            self.internet = build_internet(
-                InternetConfig(
-                    profiles=tuple(
-                        scaled_profiles(
-                            config.scale,
-                            config.ttl_propagate_everywhere,
-                        )
-                    ),
-                    vantage_points=config.vantage_points,
-                    stubs_per_transit=config.stubs_per_transit,
-                    seed=config.seed,
-                    te_tunnels_per_transit=(
-                        config.te_tunnels_per_transit
-                    ),
-                    te_ttl_propagate=config.te_ttl_propagate,
-                )
-            )
+            self.internet = render_internet(config.topology)
         else:
             # Render-once, attach-many: two contexts in one process
             # that differ only in execution knobs (workers, budget,
-            # record/replay) now share one rendered topology instead
-            # of silently paying ``internet_build`` twice for the same
+            # record/replay) share one rendered topology instead of
+            # silently paying ``internet_build`` twice for the same
             # content key.
-            self.internet = default_registry().attach(
-                TopologySpec(
-                    scale=config.scale,
-                    seed=config.seed,
-                    vantage_points=config.vantage_points,
-                    stubs_per_transit=config.stubs_per_transit,
-                    ttl_propagate_everywhere=(
-                        config.ttl_propagate_everywhere
-                    ),
-                    te_tunnels_per_transit=(
-                        config.te_tunnels_per_transit
-                    ),
-                    te_ttl_propagate=config.te_ttl_propagate,
-                ),
-            )
+            self.internet = default_registry().attach(config.topology)
         prober, recording = self._build_prober(config)
-        self.campaign = Campaign(
+        self.campaign = campaign_for(
+            config,
+            self.internet,
             prober,
-            self.internet.vps,
-            self.internet.asn_of_address,
-            CampaignConfig(
-                suspicious_asns=tuple(self.internet.transit_asns),
-                workers=config.workers,
-                probe_budget=config.probe_budget,
-                max_retries=config.max_retries,
-                breaker_threshold=config.breaker_threshold,
-                revelation_technique=config.revelation_technique,
-            ),
+            workers=config.workers,
+            revelation_technique=config.revelation_technique,
         )
-        checkpoint = self._build_checkpoint(config)
+        checkpoint = checkpoint_for(
+            config, revelation_technique=config.revelation_technique
+        )
         try:
             self.result: CampaignResult = self.campaign.run(
                 self.internet.campaign_targets(),
@@ -197,82 +163,13 @@ class CampaignContext:
                 ),
                 None,
             )
-        backend = None
-        if config.fault_profile is not None:
-            from repro.faults import FaultyBackend, fault_profile
-
-            backend = FaultyBackend(
-                SimBackend(self.internet.engine),
-                fault_profile(config.fault_profile),
-            )
+        if config.fault_profile is None and config.record_path is None:
+            return self.internet.prober, None
+        backend = probe_backend(self.internet.engine, config.fault_profile)
         if config.record_path is not None:
-            recording = RecordingBackend(
-                backend or SimBackend(self.internet.engine),
-                config.record_path,
-            )
+            recording = RecordingBackend(backend, config.record_path)
             return Prober(recording), recording
-        if backend is not None:
-            return Prober(backend), None
-        return self.internet.prober, None
-
-    def _build_checkpoint(self, config: ContextConfig):
-        """A checkpoint handle when the config asks for one.
-
-        The topology descriptor keyed into the snapshot covers every
-        field that changes what is measured; execution knobs
-        (workers, budgets, record/replay plumbing) stay out so an
-        interrupted budgeted run and its unbudgeted resume land in
-        the same snapshot.
-        """
-        if config.checkpoint_dir is None:
-            return None
-        from repro.store import CampaignCheckpoint
-
-        return CampaignCheckpoint(
-            config.checkpoint_dir,
-            topology={
-                "kind": "synthetic-internet",
-                "scale": config.scale,
-                "seed": config.seed,
-                "vantage_points": config.vantage_points,
-                "stubs_per_transit": config.stubs_per_transit,
-                "ttl_propagate_everywhere": (
-                    config.ttl_propagate_everywhere
-                ),
-                # Only stamped when chaos is on, so clean-run
-                # snapshot keys are unchanged across versions.
-                **(
-                    {"fault_profile": config.fault_profile}
-                    if config.fault_profile is not None
-                    else {}
-                ),
-                # TE knobs change the rendered topology, so they key
-                # the snapshot — but only when enabled, keeping
-                # pre-TE snapshot keys valid.
-                **(
-                    {
-                        "te_tunnels_per_transit": (
-                            config.te_tunnels_per_transit
-                        ),
-                        "te_ttl_propagate": config.te_ttl_propagate,
-                    }
-                    if config.te_tunnels_per_transit
-                    else {}
-                ),
-                # A technique gates which pairs get revealed, so it
-                # changes the measured result and keys the snapshot.
-                **(
-                    {
-                        "revelation_technique": (
-                            config.revelation_technique
-                        )
-                    }
-                    if config.revelation_technique is not None
-                    else {}
-                ),
-            },
-            resume=config.resume,
-        )
+        return Prober(backend), None
 
     def _alias_of(self, address: int) -> Optional[str]:
         router = self.internet.router_of_address(address)

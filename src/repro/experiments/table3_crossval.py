@@ -10,7 +10,7 @@ single-LSR ambiguous class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.campaign.crossval import cross_validate, extract_explicit_tunnels
@@ -74,14 +74,10 @@ class Table3Result:
 
 def run(config: Optional[ContextConfig] = None) -> Table3Result:
     """Run the Table 3 cross-validation campaign."""
-    base = config or ContextConfig()
+    base = (config or ContextConfig()).topology
     context = campaign_context(
         ContextConfig(
-            scale=base.scale,
-            seed=base.seed,
-            vantage_points=base.vantage_points,
-            stubs_per_transit=base.stubs_per_transit,
-            ttl_propagate_everywhere=True,
+            topology=replace(base, ttl_propagate_everywhere=True)
         )
     )
     tunnels = extract_explicit_tunnels(

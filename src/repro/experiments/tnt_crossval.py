@@ -18,7 +18,7 @@ recall matches Table 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.campaign.crossval import extract_explicit_tunnels
@@ -113,18 +113,17 @@ class TntCrossvalResult:
 
 def run(config: Optional[ContextConfig] = None) -> TntCrossvalResult:
     """Cross-validate the TNT technique on a mixed LDP+TE internet."""
-    base = config or ContextConfig()
+    base = (config or ContextConfig()).topology
     context = campaign_context(
         ContextConfig(
-            scale=base.scale,
-            seed=base.seed,
-            vantage_points=base.vantage_points,
-            stubs_per_transit=base.stubs_per_transit,
-            ttl_propagate_everywhere=True,
-            te_tunnels_per_transit=(
-                base.te_tunnels_per_transit or DEFAULT_TE_TUNNELS
-            ),
-            te_ttl_propagate=True,
+            topology=replace(
+                base,
+                ttl_propagate_everywhere=True,
+                te_tunnels_per_transit=(
+                    base.te_tunnels_per_transit or DEFAULT_TE_TUNNELS
+                ),
+                te_ttl_propagate=True,
+            )
         )
     )
     internet = context.internet

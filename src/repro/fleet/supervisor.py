@@ -48,16 +48,15 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional
 
-from repro.monitor.loop import MonitorConfig, MonitorLoop, chain_id
+from repro.monitor.loop import ChainSpec, MonitorConfig, MonitorLoop, chain_id
 from repro.obs import Obs
-from repro.serve.registry import SnapshotRegistry, TopologySpec
+from repro.serve.registry import SnapshotRegistry
 from repro.store.fleet import fold_fleet
 from repro.store.layout import write_json
-from repro.synth.churn import ChurnProfile
 
 __all__ = [
     "ChainOutcome",
@@ -161,17 +160,16 @@ class _ChainHarness:
 
 
 @dataclass(frozen=True)
-class FleetConfig:
+class FleetConfig(ChainSpec):
     """Everything a reproducible fleet run needs.
 
-    The per-chain identity knobs mirror
-    :class:`~repro.monitor.loop.MonitorConfig`; chain ``i`` gets
-    ``churn_seed + i`` so every chain shares one rendered topology
-    (one ``internet_build`` per fleet) while churning it
-    differently.  Chain 0's config is byte-for-byte what a
-    standalone ``repro monitor`` run with the same knobs would use,
-    so its chain id — and its snapshots — are shared between the
-    two front ends.
+    The per-chain fields are :class:`~repro.monitor.loop.ChainSpec`'s;
+    chain ``i`` gets ``churn_seed + i`` so every chain shares one
+    rendered topology (one ``internet_build`` per fleet) while
+    churning it differently.  Chain 0's config is byte-for-byte what
+    a standalone ``repro monitor`` run with the same knobs would use,
+    so its chain id — and its snapshots — are shared between the two
+    front ends.
 
     Supervision knobs (``restart_budget``, backoff, deadline,
     ``max_workers``) steer execution only: they are absent from
@@ -179,24 +177,7 @@ class FleetConfig:
     whatever supervision it restarts under.
     """
 
-    warehouse: str
     chains: int = 3
-    epochs: int = 3
-    scale: float = 0.3
-    seed: int = 2017
-    vantage_points: int = 4
-    stubs_per_transit: int = 3
-    churn_profile: Union[str, ChurnProfile] = "gentle"
-    #: Base churn seed; chain ``i`` churns with ``base + i``.
-    #: Defaults to ``seed``.
-    churn_seed: Optional[int] = None
-    fault_profile: Optional[str] = None
-    incremental: bool = True
-    probe_budget: Optional[int] = None
-    max_retries: int = 0
-    breaker_threshold: Optional[int] = None
-    te_tunnels_per_transit: int = 0
-    te_ttl_propagate: bool = False
     #: Deaths tolerated per chain before it is parked.
     restart_budget: int = 3
     backoff_base_ms: float = 25.0
@@ -221,37 +202,13 @@ class FleetConfig:
 
     def monitor_config(self, index: int) -> MonitorConfig:
         """Chain ``index``'s monitor config (distinct churn seed)."""
-        base = (
-            self.seed if self.churn_seed is None else self.churn_seed
-        )
-        return MonitorConfig(
-            warehouse=self.warehouse,
-            epochs=self.epochs,
-            scale=self.scale,
-            seed=self.seed,
-            vantage_points=self.vantage_points,
-            stubs_per_transit=self.stubs_per_transit,
-            churn_profile=self.churn_profile,
-            churn_seed=base + index,
-            incremental=self.incremental,
-            fault_profile=self.fault_profile,
-            probe_budget=self.probe_budget,
-            max_retries=self.max_retries,
-            breaker_threshold=self.breaker_threshold,
-            te_tunnels_per_transit=self.te_tunnels_per_transit,
-            te_ttl_propagate=self.te_ttl_propagate,
-        )
-
-    def topology_spec(self) -> TopologySpec:
-        """The shared render every chain checks its twin out of."""
-        return TopologySpec(
-            scale=self.scale,
-            seed=self.seed,
-            vantage_points=self.vantage_points,
-            stubs_per_transit=self.stubs_per_transit,
-            te_tunnels_per_transit=self.te_tunnels_per_transit,
-            te_ttl_propagate=self.te_ttl_propagate,
-        )
+        shared = {
+            spec_field.name: getattr(self, spec_field.name)
+            for spec_field in fields(ChainSpec)
+        }
+        base = self.seed if self.churn_seed is None else self.churn_seed
+        shared["churn_seed"] = base + index
+        return MonitorConfig(**shared)
 
     def chain_ids(self) -> List[str]:
         """Every chain's deterministic id, in index order."""

@@ -41,10 +41,17 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.campaign.orchestrator import Campaign, CampaignConfig
 from repro.campaign.postprocess import Aggregator
+from repro.campaign.stack import probe_backend
 from repro.core.revelation import Revelation, RevelationMethod
 from repro.monitor.staleness import StalenessEngine, StalenessReport
 from repro.obs import Obs
 from repro.probing.prober import Prober
+from repro.serve.registry import (
+    TopologySpec,
+    internet_config,
+    render_internet,
+    snapshot_descriptor,
+)
 from repro.store import (
     CampaignCheckpoint,
     CampaignStore,
@@ -59,10 +66,9 @@ from repro.synth.churn import (
     ChurnProfile,
     churn_profile,
 )
-from repro.synth.internet import InternetConfig, build_internet
-from repro.synth.profiles import scaled_profiles
 
 __all__ = [
+    "ChainSpec",
     "MonitorConfig",
     "EpochOutcome",
     "MonitorReport",
@@ -120,13 +126,16 @@ def chain_id(config: "MonitorConfig") -> str:
 
 
 @dataclass(frozen=True)
-class MonitorConfig:
-    """Everything one monitoring chain needs to be reproducible.
+class ChainSpec:
+    """The fields every monitoring chain shares with a fleet of them.
 
-    The identity-relevant subset (topology knobs, seeds, churn
-    profile, fault profile, incremental flag) is hashed into the
-    chain id; execution knobs (``probe_budget``) deliberately are
-    not, so an interrupted chain resumes into the same snapshots.
+    :class:`MonitorConfig` (one chain) and
+    :class:`~repro.fleet.supervisor.FleetConfig` (N chains over one
+    render) both extend it.  The identity-relevant subset (topology
+    knobs, seeds, churn profile, fault profile, incremental flag) is
+    hashed into the chain id; execution knobs (``probe_budget``)
+    deliberately are not, so an interrupted chain resumes into the
+    same snapshots.
     """
 
     warehouse: str
@@ -137,12 +146,9 @@ class MonitorConfig:
     stubs_per_transit: int = 3
     #: Shipped profile name or an explicit :class:`ChurnProfile`.
     churn_profile: Union[str, ChurnProfile] = "gentle"
-    #: Churn RNG seed; defaults to ``seed``.
+    #: Churn RNG seed; defaults to ``seed``.  A fleet's chain ``i``
+    #: churns with this base plus ``i``.
     churn_seed: Optional[int] = None
-    #: Scripted churn events, ``epoch -> [spec, ...]`` (see
-    #: :class:`~repro.synth.churn.ChurnModel`); applied before the
-    #: profile-driven batch each epoch.
-    schedule: Optional[Mapping[int, Sequence[Mapping[str, object]]]] = None
     #: False re-reveals every pair every epoch (the control arm the
     #: incremental-safety test and the bench compare against).
     incremental: bool = True
@@ -156,6 +162,27 @@ class MonitorConfig:
     breaker_threshold: Optional[int] = None
     te_tunnels_per_transit: int = 0
     te_ttl_propagate: bool = False
+
+    def topology_spec(self) -> TopologySpec:
+        """The topology every epoch of the chain measures."""
+        return TopologySpec(
+            scale=self.scale,
+            seed=self.seed,
+            vantage_points=self.vantage_points,
+            stubs_per_transit=self.stubs_per_transit,
+            te_tunnels_per_transit=self.te_tunnels_per_transit,
+            te_ttl_propagate=self.te_ttl_propagate,
+        )
+
+
+@dataclass(frozen=True)
+class MonitorConfig(ChainSpec):
+    """Everything one monitoring chain needs to be reproducible."""
+
+    #: Scripted churn events, ``epoch -> [spec, ...]`` (see
+    #: :class:`~repro.synth.churn.ChurnModel`); applied before the
+    #: profile-driven batch each epoch.
+    schedule: Optional[Mapping[int, Sequence[Mapping[str, object]]]] = None
 
 
 @dataclass
@@ -258,16 +285,7 @@ class MonitorLoop:
                     "topology — use a non-flap profile"
                 )
         if internet is None:
-            internet = build_internet(
-                InternetConfig(
-                    profiles=tuple(scaled_profiles(config.scale)),
-                    vantage_points=config.vantage_points,
-                    stubs_per_transit=config.stubs_per_transit,
-                    seed=config.seed,
-                    te_tunnels_per_transit=config.te_tunnels_per_transit,
-                    te_ttl_propagate=config.te_ttl_propagate,
-                )
-            )
+            internet = render_internet(config.topology_spec())
         else:
             self._check_injected(internet)
         self.internet = internet
@@ -286,7 +304,7 @@ class MonitorLoop:
             schedule=config.schedule,
         )
         self.store = CampaignStore(config.warehouse)
-        self.chain = self._chain_id()
+        self.chain = chain_id(config)
         self._vp_by_name = {vp.name: vp for vp in self.internet.vps}
 
     def _check_injected(self, internet) -> None:
@@ -294,9 +312,9 @@ class MonitorLoop:
 
         A fleet chain runs over a copy-on-churn twin checked out from
         the serve registry instead of building its own internet; the
-        twin must be mutable (churn owns it) and agree with every
-        config knob that participates in the chain id, or the chain
-        would stamp snapshots it could never reproduce standalone.
+        twin must be mutable (churn owns it) and render from exactly
+        the config's topology spec, or the chain would stamp
+        snapshots it could never reproduce standalone.
         """
         if internet.network.frozen:
             raise ValueError(
@@ -305,61 +323,36 @@ class MonitorLoop:
                 "copy-on-churn twin (SnapshotRegistry.checkout or "
                 "repro fleet) instead"
             )
-        expected = {
-            "seed": self.config.seed,
-            "vantage_points": self.config.vantage_points,
-            "stubs_per_transit": self.config.stubs_per_transit,
-            "te_tunnels_per_transit": (
-                self.config.te_tunnels_per_transit
-            ),
-            "te_ttl_propagate": self.config.te_ttl_propagate,
-        }
-        actual = {
-            name: getattr(internet.config, name)
-            for name in expected
-        }
-        if actual != expected:
+        expected = internet_config(self.config.topology_spec())
+        if internet.config != expected:
             mismatched = ", ".join(
-                f"{name}={actual[name]!r} (config wants "
-                f"{expected[name]!r})"
-                for name in sorted(expected)
-                if actual[name] != expected[name]
+                name
+                for name in vars(expected)
+                if getattr(internet.config, name) != getattr(expected, name)
             )
             raise ValueError(
-                f"injected internet disagrees with the monitor "
-                f"config: {mismatched}"
+                "injected internet disagrees with the monitor config "
+                f"({mismatched}); check out the twin of "
+                "config.topology_spec()"
             )
 
     # ------------------------------------------------------------------
     # Identity
 
-    def _chain_id(self) -> str:
-        """Deterministic chain id: a hash of the reproducible knobs."""
-        return chain_id(self.config)
-
     def _topology_descriptor(self, epoch: int) -> Dict[str, object]:
         """The snapshot topology stamp for ``epoch``."""
-        descriptor: Dict[str, object] = {
-            "kind": "synthetic-internet",
-            "scale": self.config.scale,
-            "seed": self.config.seed,
-            "vantage_points": self.config.vantage_points,
-            "stubs_per_transit": self.config.stubs_per_transit,
-            "monitor": {
-                "chain": self.chain,
-                "epoch": epoch,
-                "churn_profile": self.profile.name,
-            },
+        descriptor = snapshot_descriptor(
+            self.config.topology_spec(),
+            fault_profile=self.config.fault_profile,
+        )
+        # Stored chains never carried this field (monitor renders are
+        # always the invisible default), so it stays out of their keys.
+        del descriptor["ttl_propagate_everywhere"]
+        descriptor["monitor"] = {
+            "chain": self.chain,
+            "epoch": epoch,
+            "churn_profile": self.profile.name,
         }
-        if self.config.fault_profile is not None:
-            descriptor["fault_profile"] = self.config.fault_profile
-        if self.config.te_tunnels_per_transit:
-            descriptor["te_tunnels_per_transit"] = (
-                self.config.te_tunnels_per_transit
-            )
-            descriptor["te_ttl_propagate"] = (
-                self.config.te_ttl_propagate
-            )
         return descriptor
 
     # ------------------------------------------------------------------
@@ -372,15 +365,9 @@ class MonitorLoop:
         harness) wraps outermost so it sees every probe the campaign
         submits, faults included.
         """
-        from repro.measure import SimBackend
-
-        backend = SimBackend(self.internet.engine)
-        if self.config.fault_profile is not None:
-            from repro.faults import FaultyBackend, fault_profile
-
-            backend = FaultyBackend(
-                backend, fault_profile(self.config.fault_profile)
-            )
+        backend = probe_backend(
+            self.internet.engine, self.config.fault_profile
+        )
         if self._backend_wrapper is not None:
             backend = self._backend_wrapper(backend)
         return Prober(backend)

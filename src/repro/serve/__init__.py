@@ -21,8 +21,8 @@ The subsystem has four legs:
   :class:`ServeClient` used by tests, the ``repro serve`` CLI, and
   ``tools/serve_soak.py``.
 
-Determinism contract: a campaign executed through the server with
-``workers=1`` is byte-identical to the standalone orchestrator —
+Determinism contract: a campaign executed through the server (always
+``workers=1``) is byte-identical to the standalone orchestrator —
 traces, pings, revelations, *and* measurement counters.  The
 scheduler only decides *when* a tenant's next batch enters the
 simulator, never what is probed; per-tenant engines keep every cache

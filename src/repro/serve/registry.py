@@ -49,7 +49,9 @@ __all__ = [
     "SnapshotRegistry",
     "TopologySpec",
     "default_registry",
+    "internet_config",
     "render_internet",
+    "snapshot_descriptor",
     "topology_key",
 ]
 
@@ -58,10 +60,11 @@ __all__ = [
 class TopologySpec:
     """Everything that determines a rendered internet's topology.
 
-    Mirrors the topology descriptor the campaign warehouse keys
-    snapshots on (``CampaignContext._build_checkpoint``): execution
-    knobs such as budgets deliberately stay out, because they
-    configure *attachments*, not the shared render.
+    The one owner of run identity: :func:`internet_config` renders
+    it and :func:`snapshot_descriptor` stamps the warehouse
+    descriptor every front end keys snapshots on.  Execution knobs
+    such as budgets deliberately stay out, because they configure
+    *attachments*, not the shared render.
     """
 
     scale: float = 1.0
@@ -110,27 +113,41 @@ def topology_key(spec: TopologySpec) -> str:
     ).hexdigest()
 
 
-def render_internet(spec: TopologySpec) -> SyntheticInternet:
-    """Build the internet a spec describes (private, unfrozen).
+def snapshot_descriptor(
+    spec: TopologySpec,
+    fault_profile: Optional[str] = None,
+    revelation_technique: Optional[str] = None,
+) -> Dict[str, object]:
+    """The warehouse topology descriptor every front end keys its
+    checkpoints on.  A fault profile or a revelation technique
+    changes what is measured, so each is stamped — but only when
+    set, keeping clean-run keys unchanged across versions."""
+    descriptor = spec.descriptor()
+    if fault_profile is not None:
+        descriptor["fault_profile"] = fault_profile
+    if revelation_technique is not None:
+        descriptor["revelation_technique"] = revelation_technique
+    return descriptor
 
-    The render path is byte-compatible with the experiment harness:
-    profiles come from :func:`repro.synth.profiles.scaled_profiles`,
-    so a registry snapshot and a standalone experiment context with
-    the same spec hold identical topologies.
-    """
-    profiles = scaled_profiles(
-        spec.scale, spec.ttl_propagate_everywhere
+
+def internet_config(spec: TopologySpec) -> InternetConfig:
+    """The generator config a spec renders to (comparable against a
+    pre-built twin's ``config`` without rendering)."""
+    return InternetConfig(
+        profiles=tuple(
+            scaled_profiles(spec.scale, spec.ttl_propagate_everywhere)
+        ),
+        vantage_points=spec.vantage_points,
+        stubs_per_transit=spec.stubs_per_transit,
+        seed=spec.seed,
+        te_tunnels_per_transit=spec.te_tunnels_per_transit,
+        te_ttl_propagate=spec.te_ttl_propagate,
     )
-    return build_internet(
-        InternetConfig(
-            profiles=tuple(profiles),
-            vantage_points=spec.vantage_points,
-            stubs_per_transit=spec.stubs_per_transit,
-            seed=spec.seed,
-            te_tunnels_per_transit=spec.te_tunnels_per_transit,
-            te_ttl_propagate=spec.te_ttl_propagate,
-        )
-    )
+
+
+def render_internet(spec: TopologySpec) -> SyntheticInternet:
+    """Build the internet a spec describes (private, unfrozen)."""
+    return build_internet(internet_config(spec))
 
 
 class _Snapshot:
@@ -141,7 +158,6 @@ class _Snapshot:
         self.spec = spec
         self.internet = internet
         self.render_seconds = render_seconds
-        self.attach_count = 0
 
 
 class SnapshotRegistry:
@@ -164,6 +180,29 @@ class SnapshotRegistry:
         snapshot = self._snapshots.get(topology_key(spec))
         return None if snapshot is None else snapshot.internet
 
+    def _snapshot(self, spec: TopologySpec) -> _Snapshot:
+        """The rendered snapshot for ``spec`` (caller holds the lock).
+
+        The first request per key renders and freezes the topology;
+        every later one is an attach hit.
+        """
+        key = topology_key(spec)
+        snapshot = self._snapshots.get(key)
+        if snapshot is None:
+            start = time.perf_counter()
+            internet = render_internet(spec)
+            seconds = time.perf_counter() - start
+            internet.network.freeze()
+            snapshot = _Snapshot(spec, internet, seconds)
+            self._snapshots[key] = snapshot
+            self.obs.metrics.inc("serve.snapshot.renders")
+            self.obs.metrics.observe(
+                "serve.snapshot.render_ms", seconds * 1000.0
+            )
+        else:
+            self.obs.metrics.inc("serve.snapshot.attach_hits")
+        return snapshot
+
     def attach(
         self,
         spec: TopologySpec,
@@ -176,23 +215,8 @@ class SnapshotRegistry:
         private; pass ``obs`` to route the tenant's counters and
         events into an isolated bundle.
         """
-        key = topology_key(spec)
         with self._lock:
-            snapshot = self._snapshots.get(key)
-            if snapshot is None:
-                start = time.perf_counter()
-                internet = render_internet(spec)
-                seconds = time.perf_counter() - start
-                internet.network.freeze()
-                snapshot = _Snapshot(spec, internet, seconds)
-                self._snapshots[key] = snapshot
-                self.obs.metrics.inc("serve.snapshot.renders")
-                self.obs.metrics.observe(
-                    "serve.snapshot.render_ms", seconds * 1000.0
-                )
-            else:
-                self.obs.metrics.inc("serve.snapshot.attach_hits")
-            snapshot.attach_count += 1
+            snapshot = self._snapshot(spec)
             self.obs.metrics.inc("serve.snapshot.attaches")
             return snapshot.internet.attach(obs=obs)
 
@@ -207,22 +231,8 @@ class SnapshotRegistry:
         for every attached tenant.  The render itself is still paid
         only once per key; every checkout after the first reuses it.
         """
-        key = topology_key(spec)
         with self._lock:
-            snapshot = self._snapshots.get(key)
-            if snapshot is None:
-                start = time.perf_counter()
-                internet = render_internet(spec)
-                seconds = time.perf_counter() - start
-                internet.network.freeze()
-                snapshot = _Snapshot(spec, internet, seconds)
-                self._snapshots[key] = snapshot
-                self.obs.metrics.inc("serve.snapshot.renders")
-                self.obs.metrics.observe(
-                    "serve.snapshot.render_ms", seconds * 1000.0
-                )
-            else:
-                self.obs.metrics.inc("serve.snapshot.attach_hits")
+            snapshot = self._snapshot(spec)
             start = time.perf_counter()
             twin = snapshot.internet.clone()
             self.obs.metrics.inc("serve.snapshot.checkouts")

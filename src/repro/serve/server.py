@@ -8,8 +8,7 @@ scheduler turnstile interleaves the active ones batch-by-batch.
 
 Admission control happens at :meth:`CampaignServer.submit`: unknown
 chaos profiles, network-mutating profiles (illegal against frozen
-shared snapshots), prewarm workers (fork-from-thread), and
-non-positive weights are rejected with :class:`AdmissionError`
+shared snapshots), and non-positive weights are rejected with :class:`AdmissionError`
 before any resources are committed.
 
 Shutdown is a **graceful drain**: :meth:`CampaignServer.drain` stops
@@ -129,13 +128,6 @@ class CampaignServer:
             raise AdmissionError("server is not started")
         if self._draining:
             raise AdmissionError("server is draining; not admitting")
-        if spec.workers != 1:
-            raise AdmissionError(
-                f"tenant {spec.tenant!r} asked for workers="
-                f"{spec.workers}; served campaigns run workers=1 "
-                "(prewarm forks are unsafe from server threads, and "
-                "workers=1 is the byte-identity configuration)"
-            )
         if spec.weight <= 0:
             raise AdmissionError(
                 f"tenant {spec.tenant!r} weight must be positive"
@@ -152,7 +144,7 @@ class CampaignServer:
                     f"fault profile {spec.fault_profile!r} fires "
                     "network-mutating flaps and cannot run against a "
                     "shared frozen snapshot; run it standalone "
-                    "(repro chaos), or run a monitoring fleet "
+                    "(repro campaign --fault-profile), or run a monitoring fleet "
                     "(repro fleet) — each fleet chain churns a "
                     "private copy-on-churn twin of the shared render"
                 )

@@ -33,18 +33,15 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.campaign.orchestrator import (
-    Campaign,
-    CampaignConfig,
-    CampaignResult,
-)
-from repro.measure import SimBackend
+from repro.campaign.orchestrator import CampaignResult
+from repro.campaign.stack import campaign_for, checkpoint_for, probe_backend
 from repro.obs import EventLog, JsonlSink, MetricsRegistry, Obs, Tracer
 from repro.probing.prober import Prober
 from repro.serve.registry import (
     SnapshotRegistry,
     TopologySpec,
     render_internet,
+    snapshot_descriptor,
     topology_key,
 )
 from repro.serve.scheduler import FairScheduler, ScheduledBackend
@@ -66,16 +63,20 @@ class AdmissionError(ValueError):
     """Raised when the server refuses a tenant spec.
 
     Admission is the contract that keeps shared snapshots safe and
-    results deterministic: specs asking for prewarm workers (fork
-    from a thread) or network-mutating chaos profiles (flaps against
-    a frozen shared topology) are rejected up front with an
-    actionable message instead of failing mid-campaign.
+    results deterministic: specs asking for network-mutating chaos
+    profiles (flaps against a frozen shared topology) are rejected up
+    front with an actionable message instead of failing mid-campaign.
     """
 
 
 @dataclass(frozen=True)
 class TenantSpec:
-    """One tenant's campaign request."""
+    """One tenant's campaign request.
+
+    Served campaigns always run ``workers=1`` (prewarm forks are
+    unsafe from server threads, and ``workers=1`` is the
+    byte-identity configuration), so the spec has no workers knob.
+    """
 
     tenant: str
     topology: TopologySpec = TopologySpec()
@@ -96,31 +97,20 @@ class TenantSpec:
     #: Truncate the campaign target list (soak/test sizing knob);
     #: None probes every campaign target.
     max_targets: Optional[int] = None
-    #: Prewarm workers — must stay 1 under the server (admission
-    #: enforces it); kept as a field so the spec mirrors the CLI.
-    workers: int = 1
     #: Mirror this session's events to a JSONL file at this path.
     events_path: Optional[str] = None
-
-    def campaign_config(self, internet) -> CampaignConfig:
-        """The orchestrator config this spec maps to (identical to
-        the standalone ``CampaignContext`` construction)."""
-        return CampaignConfig(
-            suspicious_asns=tuple(internet.transit_asns),
-            workers=1,
-            probe_budget=self.probe_budget,
-            max_retries=self.max_retries,
-            breaker_threshold=self.breaker_threshold,
-        )
 
     def checkpoint_topology(self) -> Dict[str, object]:
         """The warehouse topology descriptor (checkpoint-compatible
         with ``repro campaign`` so serve and CLI runs share
         snapshots)."""
-        descriptor = self.topology.descriptor()
-        if self.fault_profile is not None:
-            descriptor["fault_profile"] = self.fault_profile
-        return descriptor
+        return snapshot_descriptor(
+            self.topology, fault_profile=self.fault_profile
+        )
+
+    def targets(self, internet) -> List[int]:
+        """The campaign targets, truncated to ``max_targets``."""
+        return internet.campaign_targets()[: self.max_targets]
 
 
 class _BufferSink:
@@ -268,37 +258,17 @@ class CampaignSession:
         obs = Obs(MetricsRegistry(), events, Tracer(events))
         self.metrics = obs.metrics
         attached = self._registry.attach(spec.topology, obs=obs)
-        backend = SimBackend(attached.engine)
-        if spec.fault_profile is not None:
-            from repro.faults import FaultyBackend, fault_profile
-
-            backend = FaultyBackend(
-                backend, fault_profile(spec.fault_profile)
-            )
         gate = ScheduledBackend(
-            backend, self._scheduler, spec.tenant, self._loop
+            probe_backend(attached.engine, spec.fault_profile),
+            self._scheduler, spec.tenant, self._loop,
         )
         prober = Prober(gate)
-        campaign = Campaign(
-            prober,
-            attached.vps,
-            attached.asn_of_address,
-            spec.campaign_config(attached),
-        )
-        checkpoint = None
-        if spec.checkpoint_dir is not None:
-            from repro.store import CampaignCheckpoint
-
-            checkpoint = CampaignCheckpoint(
-                spec.checkpoint_dir,
-                topology=self.spec.checkpoint_topology(),
-                resume=spec.resume,
-            )
-        targets = attached.campaign_targets()
-        if spec.max_targets is not None:
-            targets = targets[: spec.max_targets]
+        campaign = campaign_for(spec, attached, prober)
+        checkpoint = checkpoint_for(spec)
         try:
-            result = campaign.run(targets, checkpoint=checkpoint)
+            result = campaign.run(
+                spec.targets(attached), checkpoint=checkpoint
+            )
             events.emit(
                 "campaign.metrics",
                 counters=obs.metrics.counters_snapshot(),
@@ -329,22 +299,6 @@ def run_standalone(spec: TenantSpec):
     internet = render_internet(spec.topology)
     obs = Obs(MetricsRegistry(), EventLog())
     attached = internet.attach(obs=obs)
-    backend = SimBackend(attached.engine)
-    if spec.fault_profile is not None:
-        from repro.faults import FaultyBackend, fault_profile
-
-        backend = FaultyBackend(
-            backend, fault_profile(spec.fault_profile)
-        )
-    prober = Prober(backend)
-    campaign = Campaign(
-        prober,
-        attached.vps,
-        attached.asn_of_address,
-        spec.campaign_config(attached),
-    )
-    targets = attached.campaign_targets()
-    if spec.max_targets is not None:
-        targets = targets[: spec.max_targets]
-    result = campaign.run(targets)
+    prober = Prober(probe_backend(attached.engine, spec.fault_profile))
+    result = campaign_for(spec, attached, prober).run(spec.targets(attached))
     return result, obs.metrics

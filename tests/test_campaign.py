@@ -11,6 +11,7 @@ from repro.campaign.orchestrator import Campaign, CampaignConfig
 from repro.campaign.targets import select_targets, split_among_teams
 from repro.analysis.itdk import TraceGraph
 from repro.experiments.common import ContextConfig, campaign_context
+from repro.serve.registry import TopologySpec
 from repro.synth.internet import InternetConfig, build_internet
 from repro.synth.profiles import paper_profiles
 
@@ -189,7 +190,9 @@ class TestCrossValidation:
     @pytest.fixture(scope="class")
     def crossval(self):
         context = campaign_context(
-            ContextConfig(ttl_propagate_everywhere=True)
+            ContextConfig(
+                topology=TopologySpec(ttl_propagate_everywhere=True)
+            )
         )
         tunnels = extract_explicit_tunnels(
             context.result.traces, context.asn_of

@@ -18,19 +18,16 @@ from repro.experiments.common import CampaignContext, ContextConfig
 from repro.faults import FAULT_PROFILES
 from repro.measure.service import BudgetExceeded
 from repro.obs import measurement_counters
+from repro.serve.registry import TopologySpec
 from repro.store import RESUME_EXEMPT_COUNTERS
 from repro.synth.gns3 import build_gns3
 
 #: Small-but-complete campaign (mirrors ``tools/chaos_soak.py``):
 #: every phase runs and revelations happen under every profile.
-BASE = dict(
-    scale=0.4,
-    seed=11,
-    vantage_points=3,
-    stubs_per_transit=2,
-    max_retries=1,
-    breaker_threshold=3,
+TOPOLOGY = TopologySpec(
+    scale=0.4, seed=11, vantage_points=3, stubs_per_transit=2
 )
+POLICY = dict(max_retries=1, breaker_threshold=3)
 
 RESULT_FIELDS = (
     "traces",
@@ -50,7 +47,8 @@ def _build(profile, probe_budget=None, checkpoint_dir=None,
             probe_budget=probe_budget,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
-            **BASE,
+            topology=TOPOLOGY,
+            **POLICY,
         )
     )
 

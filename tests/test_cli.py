@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
 
 import pytest
 
@@ -160,6 +161,30 @@ class TestCampaignCheckpoint:
         assert document["summary"]["appeared"] == 0
         assert document["summary"]["unchanged"] > 0
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["campaign", "--scale", "0.3", "--seed", "11"],
+            ["chaos", "--scale", "0.4"],
+        ],
+        ids=["clean", "chaos"],
+    )
+    def test_printed_resume_hint_resumes(self, capsys, tmp_path,
+                                         command):
+        warehouse = str(tmp_path / "warehouse")
+        assert main(
+            command + ["--probe-budget", "200", "--checkpoint", warehouse]
+        ) == 0
+        (line,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("PARTIAL RUN")
+        ]
+        hint = line.split("resume with: ", 1)[1]
+        assert main(shlex.split(hint)[1:]) == 0
+        out = capsys.readouterr().out
+        assert "PARTIAL RUN" not in out
+        assert "snapshot:" in out
+
     def test_resume_without_warehouse_fails(self, capsys, tmp_path):
         code = main(
             ["campaign", "--scale", "0.5", "--seed", "11",
@@ -178,3 +203,38 @@ class TestCampaignCheckpoint:
                 ["campaign", "--checkpoint", "a", "--resume", "b"]
             )
         capsys.readouterr()
+
+
+class TestChaosAlias:
+    def test_alias_matches_campaign_with_fault_profile(
+        self, capsys, tmp_path
+    ):
+        topology = ["--scale", "0.4", "--seed", "11",
+                    "--vantage-points", "3"]
+        alias = tmp_path / "alias.json"
+        canonical = tmp_path / "canonical.json"
+        assert main(
+            ["chaos", "--profile", "hostile", "--json", str(alias)]
+            + topology
+        ) == 0
+        assert main(
+            ["campaign", "--fault-profile", "hostile",
+             "--max-retries", "1", "--breaker-threshold", "3",
+             "--json", str(canonical)]
+            + topology
+        ) == 0
+        out = capsys.readouterr().out
+        assert "faults injected:" in out
+        assert alias.read_bytes() == canonical.read_bytes()
+        assert json.loads(alias.read_text())["profile"] == "hostile"
+
+    def test_lists_fault_profiles(self, capsys):
+        assert main(["campaign", "--list"]) == 0
+        listing = capsys.readouterr().out
+        assert main(["chaos", "--list"]) == 0
+        assert capsys.readouterr().out == listing
+        assert "hostile" in listing
+
+    def test_unknown_profile_exits_two(self, capsys):
+        assert main(["chaos", "--profile", "no-such"]) == 2
+        assert "error:" in capsys.readouterr().err

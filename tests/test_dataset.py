@@ -84,10 +84,10 @@ class TestWholeDataset:
             context.result.traces,
             pings=context.result.pings,
             revelations=context.result.revelations,
-            metadata={"seed": context.config.seed},
+            metadata={"seed": context.config.topology.seed},
         )
         loaded = load_dataset(path)
-        assert loaded["metadata"]["seed"] == context.config.seed
+        assert loaded["metadata"]["seed"] == context.config.topology.seed
         assert len(loaded["traces"]) == len(context.result.traces)
         assert len(loaded["pings"]) == len(context.result.pings)
         assert len(loaded["revelations"]) == len(

@@ -18,13 +18,15 @@ class TestContextCaching:
 
     def test_different_config_builds_fresh(self):
         a = campaign_context(ContextConfig())
-        b = campaign_context(ContextConfig(seed=999, scale=0.4))
+        b = campaign_context(ContextConfig(topology=TopologySpec(seed=999, scale=0.4)))
         assert a is not b
         assert a.internet.network is not b.internet.network
 
     def test_propagate_everywhere_flag(self):
         visible = campaign_context(
-            ContextConfig(ttl_propagate_everywhere=True)
+            ContextConfig(
+                topology=TopologySpec(ttl_propagate_everywhere=True)
+            )
         )
         for asn in visible.internet.transit_asns:
             for router in visible.internet.network.routers_in_as(asn):
@@ -55,7 +57,7 @@ class TestContextCaching:
             campaign_context(
                 ContextConfig(
                     probe_budget=budget, fault_profile="hostile",
-                    **topology,
+                    topology=TopologySpec(**topology),
                 )
             )
 

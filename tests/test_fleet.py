@@ -185,6 +185,16 @@ class TestCopyOnChurn:
         message = str(excinfo.value)
         assert "seed" in message and "vantage_points" in message
 
+    def test_injected_twin_of_another_scale_rejected(self, tmp_path):
+        twin = SnapshotRegistry().checkout(
+            TopologySpec(scale=0.4, vantage_points=4, stubs_per_transit=3)
+        )
+        with pytest.raises(ValueError, match="disagrees"):
+            MonitorLoop(
+                MonitorConfig(warehouse=str(tmp_path), scale=0.3),
+                internet=twin,
+            )
+
     def test_registry_checkout_counts_and_reuses_render(self):
         registry = SnapshotRegistry()
         spec = TopologySpec(

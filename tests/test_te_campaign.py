@@ -11,6 +11,8 @@ completes; and a mixed LDP+TE campaign checkpoints and resumes
 bit-identically.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign.orchestrator import Campaign, CampaignConfig
@@ -19,11 +21,12 @@ from repro.measure import RecordingBackend, SimBackend
 from repro.measure.backend import ProbeRequest
 from repro.obs import measurement_counters
 from repro.probing.prober import Prober
+from repro.serve.registry import TopologySpec
 from repro.store import RESUME_EXEMPT_COUNTERS
 from repro.synth.internet import InternetConfig, build_internet
 from repro.synth.profiles import paper_profiles
 
-BASE = dict(
+BASE = TopologySpec(
     scale=0.4,
     seed=11,
     vantage_points=3,
@@ -196,10 +199,9 @@ class TestTeForwarding:
             internet.control.remove_te_tunnel("nope", "nowhere")
 
 
-def _context(**overrides):
-    config = dict(BASE, te_tunnels_per_transit=2)
-    config.update(overrides)
-    return CampaignContext(ContextConfig(**config))
+def _context(te_tunnels_per_transit=2, **overrides):
+    topology = replace(BASE, te_tunnels_per_transit=te_tunnels_per_transit)
+    return CampaignContext(ContextConfig(topology=topology, **overrides))
 
 
 def _counters(context):

@@ -22,8 +22,9 @@ from repro.core.technique import (
     default_techniques,
 )
 from repro.experiments.common import CampaignContext, ContextConfig
+from repro.serve.registry import TopologySpec
 
-BASE = dict(
+BASE = TopologySpec(
     scale=0.4,
     seed=11,
     vantage_points=3,
@@ -179,7 +180,7 @@ class TestLegacyBitIdentity:
     """The registry refactor must not perturb classic campaigns."""
 
     def test_registry_campaign_matches_legacy_reveal(self):
-        context = CampaignContext(ContextConfig(**BASE))
+        context = CampaignContext(ContextConfig(topology=BASE))
         result = context.result
         assert result.revelations
         # Every stored revelation carries the legacy stamp...
@@ -209,12 +210,12 @@ class TestLegacyBitIdentity:
     def test_custom_registry_without_tnt_changes_nothing_measured(self):
         from repro.campaign.orchestrator import Campaign, CampaignConfig
 
-        baseline = CampaignContext(ContextConfig(**BASE))
+        baseline = CampaignContext(ContextConfig(topology=BASE))
         legacy = TechniqueRegistry()
         for technique in default_techniques():
             if technique.name != "tnt":
                 legacy.register(technique)
-        internet = CampaignContext(ContextConfig(**BASE)).internet
+        internet = CampaignContext(ContextConfig(topology=BASE)).internet
         campaign = Campaign(
             internet.prober,
             internet.vps,
@@ -239,18 +240,18 @@ class TestCampaignTechniqueDispatch:
     def test_unknown_technique_rejected(self):
         with pytest.raises(KeyError):
             CampaignContext(
-                ContextConfig(revelation_technique="nope", **BASE)
+                ContextConfig(revelation_technique="nope", topology=BASE)
             )
 
     def test_analysis_technique_rejected(self):
         with pytest.raises(ValueError, match="revelation"):
             CampaignContext(
-                ContextConfig(revelation_technique="frpla", **BASE)
+                ContextConfig(revelation_technique="frpla", topology=BASE)
             )
 
     def test_tnt_campaign_stamps_and_gates(self):
         context = CampaignContext(
-            ContextConfig(revelation_technique="tnt", **BASE)
+            ContextConfig(revelation_technique="tnt", topology=BASE)
         )
         result = context.result
         assert result.pairs
@@ -275,7 +276,7 @@ class TestCampaignTechniqueDispatch:
         assert skipped == metrics.get("technique.tnt.skipped")
         # Triggered pairs reveal through the shared recursion, so the
         # revealed tunnels match the classic stack's on those pairs.
-        baseline = CampaignContext(ContextConfig(**BASE)).result
+        baseline = CampaignContext(ContextConfig(topology=BASE)).result
         for key, revelation in result.revelations.items():
             if revelation.probes_used > 0:
                 twin = baseline.revelations[key]
@@ -284,7 +285,7 @@ class TestCampaignTechniqueDispatch:
 
     def test_quality_and_report_enumerate_registry(self):
         context = CampaignContext(
-            ContextConfig(revelation_technique="tnt", **BASE)
+            ContextConfig(revelation_technique="tnt", topology=BASE)
         )
         quality = context.result.data_quality
         assert set(quality["techniques"]) == set(
@@ -296,7 +297,7 @@ class TestCampaignTechniqueDispatch:
         assert "tnt confidence" in report
 
     def test_assess_quality_accepts_custom_registry(self):
-        context = CampaignContext(ContextConfig(**BASE))
+        context = CampaignContext(ContextConfig(topology=BASE))
         registry = TechniqueRegistry()
         for technique in default_techniques():
             if technique.name in ("frpla", "dpr"):

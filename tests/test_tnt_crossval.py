@@ -10,18 +10,20 @@ exposes the experiment with context overrides and a JSON artifact.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.campaign.crossval import extract_explicit_tunnels
 from repro.cli import main
 from repro.experiments.common import ContextConfig, campaign_context
+from repro.serve.registry import TopologySpec
 from repro.experiments.tnt_crossval import (
     DEFAULT_TE_TUNNELS,
     run,
 )
 
-BASE = dict(
+BASE = TopologySpec(
     scale=0.3,
     seed=7,
     vantage_points=4,
@@ -31,7 +33,7 @@ BASE = dict(
 
 @pytest.fixture(scope="module")
 def result():
-    return run(ContextConfig(**BASE))
+    return run(ContextConfig(topology=BASE))
 
 
 class TestPerClassValidation:
@@ -85,10 +87,12 @@ class TestUhpNullExtraction:
         the LDP set intact and adds the TE tunnels on top."""
         context = campaign_context(
             ContextConfig(
-                ttl_propagate_everywhere=True,
-                te_tunnels_per_transit=DEFAULT_TE_TUNNELS,
-                te_ttl_propagate=True,
-                **BASE,
+                topology=replace(
+                    BASE,
+                    ttl_propagate_everywhere=True,
+                    te_tunnels_per_transit=DEFAULT_TE_TUNNELS,
+                    te_ttl_propagate=True,
+                )
             )
         )
         classic = extract_explicit_tunnels(

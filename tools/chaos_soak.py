@@ -46,6 +46,7 @@ sys.path.insert(
 from repro.experiments.common import CampaignContext, ContextConfig  # noqa: E402
 from repro.faults import LOSS_LADDER, profile_names  # noqa: E402
 from repro.obs import measurement_counters  # noqa: E402
+from repro.serve.registry import TopologySpec  # noqa: E402
 from repro.store import RESUME_EXEMPT_COUNTERS  # noqa: E402
 
 #: Profiles exercised by ``--quick`` (CI smoke): the inert baseline,
@@ -54,14 +55,8 @@ QUICK_PROFILES = ("none", "loss-light", "flap")
 
 #: Small-but-complete campaign: every phase runs, revelations happen,
 #: and the full matrix stays within a CI smoke budget.
-BASE = dict(
-    scale=0.4,
-    seed=11,
-    vantage_points=3,
-    stubs_per_transit=2,
-    max_retries=1,
-    breaker_threshold=3,
-)
+TOPOLOGY = dict(scale=0.4, seed=11, vantage_points=3, stubs_per_transit=2)
+POLICY = dict(max_retries=1, breaker_threshold=3)
 
 GRADES = ("high", "degraded", "poor")
 
@@ -74,7 +69,8 @@ def _build(profile, probe_budget=None, checkpoint_dir=None, resume=False):
             probe_budget=probe_budget,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
-            **BASE,
+            topology=TopologySpec(**TOPOLOGY),
+            **POLICY,
         )
     )
 
@@ -284,7 +280,7 @@ def main(argv=None):
     document = {
         "schema": "repro.chaos-soak/1",
         "quick": args.quick,
-        "config": BASE,
+        "config": {**TOPOLOGY, **POLICY},
         "profiles": report,
         "ladder_failures": ladder_failures,
         "ok": not failed,
