@@ -80,6 +80,24 @@ def test_perf_full_traceroute_uncached(benchmark, internet_uncached):
     assert result.hops
 
 
+def test_perf_full_traceroute_cold(benchmark, internet):
+    """The cached trace with an empty trajectory cache, as on a cold
+    campaign's first pass: routing is warm, but the flush before each
+    trace drops every trajectory and its per-event reply memo, so every
+    probe build and every reply walk is paid."""
+    vp = internet.vps[0]
+    dst = internet.campaign_targets()[0]
+    engine = internet.engine
+    internet.prober.traceroute(vp, dst, start_ttl=2)
+
+    def trace():
+        engine.flush_trajectories()
+        return internet.prober.traceroute(vp, dst, start_ttl=2)
+
+    result = benchmark(trace)
+    assert result.hops
+
+
 def test_perf_full_traceroute_te(benchmark, internet_te):
     """The cached trace again, but steered through an RSVP-TE
     explicit path: the flow is chosen so the head-end pushes the TE

@@ -25,12 +25,15 @@ the per-hop return TTLs printed in Fig. 4 of the paper) are:
 6.  Routers never decrement locally-originated packets.
 
 Because every routing decision in the walk is independent of the
-packet's TTLs, the walk is executed **once per flow** against a
+packet's TTLs, a probe's walk is executed **once per flow** against a
 symbolic packet (see :mod:`repro.dataplane.trajectory`) and memoised;
-each concrete probe/reply TTL then resolves to its terminal state by
+each concrete probe TTL then resolves to its terminal state by
 bisection instead of a re-walk, turning traceroute replay from O(h^2)
-into near-O(h).  Set ``trajectory_cache=False`` to force the original
-concrete walk for every packet.
+into near-O(h).  Replies walk concretely, once per trajectory event
+(the event's reply memo): within one process no two events send the
+same reply, so a cache keyed on the reply would never hit.  Set
+``trajectory_cache=False`` to force the concrete walk for every probe
+as well.
 """
 
 from __future__ import annotations
@@ -54,9 +57,7 @@ from repro.dataplane.packet import (
 )
 from repro.dataplane.trajectory import (
     BindingRef,
-    SymbolicLse,
     SymbolicPacket,
-    InputRef,
     Trajectory,
     TrajectoryBuilder,
     trajectory_from_wire,
@@ -240,9 +241,7 @@ class ForwardingEngine:
         for key, wire in wires.items():
             if key in self._trajectories:
                 continue
-            trajectory = trajectory_from_wire(
-                wire, self.network, self.control.te.tunnel_from
-            )
+            trajectory = trajectory_from_wire(wire, self.network)
             if trajectory is not None:
                 self._trajectories[key] = trajectory
                 installed += 1
@@ -282,8 +281,7 @@ class ForwardingEngine:
                 origin=source.name, dst=dst, flow=flow_id,
             ):
                 trajectory = self._build_trajectory(
-                    source, source.loopback, dst, flow_id, kind,
-                    (), None,
+                    source, dst, flow_id, kind
                 )
             self._trajectories[key] = trajectory
         else:
@@ -386,21 +384,10 @@ class ForwardingEngine:
     # ------------------------------------------------------------------
     # Trajectory evaluation
 
-    def _build_trajectory(
-        self, origin, src, dst, flow_id, kind, stack, fec, te_tunnel=None
-    ) -> Trajectory:
-        """Walk once symbolically and record the whole journey."""
+    def _build_trajectory(self, origin, dst, flow_id, kind) -> Trajectory:
+        """Walk a probe once symbolically and record the whole journey."""
         symbolic = SymbolicPacket(
-            src=src,
-            dst=dst,
-            kind=kind,
-            flow_id=flow_id,
-            stack=[
-                SymbolicLse(InputRef(index), (None, entry.ttl), entry.bottom)
-                for index, entry in enumerate(stack)
-            ],
-            fec=fec,
-            te_tunnel=te_tunnel,
+            src=origin.loopback, dst=dst, kind=kind, flow_id=flow_id
         )
         builder = TrajectoryBuilder(symbolic)
         self._walk(symbolic, origin, builder)
@@ -419,14 +406,12 @@ class ForwardingEngine:
             self.labels.binding(name, fec)
             trajectory.forced += 1
 
-    def _label_value(self, trajectory, ref, packet):
+    def _label_value(self, trajectory, ref):
         """Resolve a trajectory label reference to a concrete value."""
-        if type(ref) is int:
-            return ref
         if type(ref) is BindingRef:
             name, fec = trajectory.sites[ref.index]
             return self.labels.binding(name, fec)
-        return packet.stack[ref.index].label
+        return ref
 
     def _quoted_labels(self, trajectory, event, initial_ttl):
         """RFC 4950 quoting of the symbolic stack at ``initial_ttl``.
@@ -439,7 +424,7 @@ class ForwardingEngine:
         for index, (label, symbol, _bottom) in enumerate(event.stack):
             value = ttl_eval(symbol, initial_ttl)
             quoted.append((
-                self._label_value(trajectory, label, None),
+                self._label_value(trajectory, label),
                 value + 1 if index == last else value,
             ))
         return quoted
@@ -518,43 +503,6 @@ class ForwardingEngine:
             delivered=delivered,
             reply_ttl=end.packet.ip_ttl,
             responder_router=responder_router,
-        )
-
-    def _transit_end(self, trajectory: Trajectory, packet: Packet):
-        """Reconstruct the legacy :class:`TransitEnd` for ``packet``."""
-        initial = packet.ip_ttl
-        event = trajectory.locate(initial)
-        self._force_bindings(trajectory, event.bindings_used)
-        index = event.hop_index
-        final = object.__new__(Packet)
-        final.src = packet.src
-        final.dst = packet.dst
-        # Bypass validation: a ttl=0 input legally walks to ip_ttl=-1.
-        final.ip_ttl = ttl_eval(event.ip, initial)
-        final.kind = packet.kind
-        final.flow_id = packet.flow_id
-        stack = []
-        for label, symbol, bottom in event.stack:
-            entry = object.__new__(LabelStackEntry)
-            entry.label = self._label_value(trajectory, label, packet)
-            entry.tc = 0
-            entry.bottom = bottom
-            entry.ttl = ttl_eval(symbol, initial)
-            stack.append(entry)
-        final.stack = stack
-        final.fec = event.fec
-        final.quoted_labels = list(packet.quoted_labels)
-        final.probe_ttl = packet.probe_ttl
-        final.te_tunnel = event.te_tunnel
-        return TransitEnd(
-            reason=event.reason,
-            router=trajectory.routers[index],
-            prev_router=trajectory.routers[index - 1] if index else None,
-            packet=final,
-            path=list(trajectory.routers[: index + 1]),
-            delay_ms=event.delay_ms,
-            expired_fec=event.expired_fec,
-            expired_at_lh=event.expired_at_lh,
         )
 
     # ------------------------------------------------------------------
@@ -692,37 +640,15 @@ class ForwardingEngine:
     # The per-hop walk
 
     def _simulate(self, packet: Packet, origin: Router) -> TransitEnd:
-        """Walk ``packet`` from ``origin`` until a terminal state.
+        """Count one packet and walk it concretely from ``origin``.
 
-        With the trajectory cache enabled the walk happens at most once
-        per ``(origin, flow)``; subsequent calls reconstruct the
-        terminal state from the memoised trajectory.  Packets already
-        riding a TE tunnel (only hand-crafted test packets do) always
-        take the concrete walk.
+        Replies always take this path (probes do only without the
+        trajectory cache): each reply walks once per trajectory event,
+        and the walk forces label bindings in walk order, exactly as
+        far as the reply travels.
         """
         self._metrics.inc("engine.packets_simulated")
-        if not self.trajectory_cache or packet.te_tunnel is not None:
-            return self._walk(packet, origin)
-        key = (
-            origin.name,
-            packet.src,
-            packet.dst,
-            packet.flow_id,
-            packet.kind,
-            tuple((entry.ttl, entry.bottom) for entry in packet.stack),
-            packet.fec,
-        )
-        trajectory = self._trajectories.get(key)
-        if trajectory is None:
-            self._metrics.inc("engine.trajectory_misses")
-            trajectory = self._build_trajectory(
-                origin, packet.src, packet.dst, packet.flow_id,
-                packet.kind, tuple(packet.stack), packet.fec,
-            )
-            self._trajectories[key] = trajectory
-        else:
-            self._metrics.inc("engine.trajectory_hits")
-        return self._transit_end(trajectory, packet)
+        return self._walk(packet, origin)
 
     def _walk(self, packet, origin: Router, builder=None):
         """Concrete or symbolic per-hop walk.

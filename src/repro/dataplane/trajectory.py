@@ -1,9 +1,9 @@
-"""Symbolic packet trajectories for the forwarding engine.
+"""Symbolic probe trajectories for the forwarding engine.
 
-The engine's walk is deterministic given ``(origin, src, dst, flow_id,
-kind)`` — every routing decision (ECMP pick, LSP entry/exit, TE
-steering) reads only those fields, never a TTL.  The *only* thing the
-initial TTL ``T`` controls is **where the journey ends**.  Better yet,
+A probe's walk is deterministic given ``(origin, dst, flow_id, kind)``
+— every routing decision (ECMP pick, LSP entry/exit, TE steering)
+reads only those fields, never a TTL.  The *only* thing the initial
+TTL ``T`` controls is **where the journey ends**.  Better yet,
 every TTL value that ever appears during a walk has the closed form::
 
     value(T) = min(T + shift, clamp)
@@ -18,22 +18,25 @@ operations:
 * PHP ``min`` pop      — pairwise ``min`` of shifts and clamps
 
 So instead of re-walking the path once per probe TTL (O(h) per probe,
-O(h^2) per traceroute), the engine walks **once** symbolically,
-recording a :class:`TrajectoryEvent` at every decrement that could
-expire some ``T`` (threshold ``θ = -shift``: the packet dies there iff
-``T <= θ``).  Thresholds along a walk are non-decreasing per ladder, so
-a prefix-max array plus :func:`bisect.bisect_left` maps any ``T`` to
-its terminal event in O(log events).
+O(h^2) per traceroute), the engine walks each probe flow **once**
+symbolically, recording a :class:`TrajectoryEvent` at every decrement
+that could expire some ``T`` (threshold ``θ = -shift``: the packet
+dies there iff ``T <= θ``).  Thresholds along a walk are
+non-decreasing per ladder, so a prefix-max array plus
+:func:`bisect.bisect_left` maps any ``T`` to its terminal event in
+O(log events).
 
 Label values are never read during a walk, so the symbolic build must
 not allocate them either (LDP label allocation is pinned to first-use
 order by the golden tests).  Stack entries instead carry a
-:class:`BindingRef` (an index into the trajectory's ordered binding
-*sites*, forced lazily in walk order at evaluation time) or an
-:class:`InputRef` (a label copied from the evaluated packet's own
-stack).  This also keeps label values out of cache keys, which is what
-lets worker processes ship trajectories to the parent process without
-disturbing its allocation order.
+:class:`BindingRef`: an index into the trajectory's ordered binding
+*sites*, forced lazily in walk order at evaluation time.  This also
+keeps label values out of trajectories, which is what lets worker
+processes ship them to the parent process without disturbing its
+allocation order.
+
+Replies are not built here: the engine walks each one concretely, once
+per trajectory event.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from typing import List, Optional, Tuple
 
 __all__ = [
     "BindingRef",
-    "InputRef",
     "SymbolicLse",
     "SymbolicPacket",
     "TrajectoryEvent",
@@ -117,25 +119,6 @@ class BindingRef:
         return f"BindingRef({self.index})"
 
 
-class InputRef:
-    """Placeholder for a label copied from the input packet's stack.
-
-    Used when a trajectory is built for an already-labelled packet
-    (e.g. a time-exceeded reply carried to the end of its LSP): the
-    walk never reads label values, so the cached trajectory applies to
-    any input labels — ``index`` recovers the concrete value at
-    evaluation time.
-    """
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-    def __repr__(self) -> str:
-        return f"InputRef({self.index})"
-
-
 class SymbolicLse:
     """Label-stack entry whose TTL is a symbolic ``(shift, clamp)``."""
 
@@ -162,24 +145,15 @@ class SymbolicPacket:
         "te_tunnel", "sites",
     )
 
-    def __init__(
-        self,
-        src: int,
-        dst: int,
-        kind: str,
-        flow_id: int,
-        stack: Optional[List[SymbolicLse]] = None,
-        fec=None,
-        te_tunnel=None,
-    ) -> None:
+    def __init__(self, src: int, dst: int, kind: str, flow_id: int) -> None:
         self.src = src
         self.dst = dst
         self.kind = kind
         self.flow_id = flow_id
         self.ip = _IDENTITY
-        self.stack: List[SymbolicLse] = stack or []
-        self.fec = fec
-        self.te_tunnel = te_tunnel
+        self.stack: List[SymbolicLse] = []
+        self.fec = None
+        self.te_tunnel = None
         self.sites: List[Tuple[str, object]] = []
 
     @property
@@ -232,10 +206,10 @@ class TrajectoryEvent:
 
     ``threshold`` is the largest initial TTL that dies at this event
     (``math.inf`` for the walk's unconditional terminal).  The
-    remaining fields snapshot everything needed to reconstruct the
-    legacy ``TransitEnd`` for a matching probe in O(1): symbolic final
-    TTLs, the stack, accumulated delay, and — for LSE expiries — the
-    FEC and last-hop flag that drive reply construction.
+    remaining fields snapshot everything a matching probe's outcome
+    needs in O(1): the symbolic IP-TTL (ICMP rate limiting), the stack
+    (RFC 4950 quoting), accumulated delay, and — for LSE expiries —
+    the FEC and last-hop flag that drive reply construction.
     ``bindings_used`` counts the binding sites recorded before this
     event, i.e. how far label allocation must be forced.
     ``reply_info`` is a per-event memo slot owned by the engine.
@@ -243,13 +217,12 @@ class TrajectoryEvent:
 
     __slots__ = (
         "threshold", "reason", "hop_index", "delay_ms", "ip", "stack",
-        "fec", "te_tunnel", "expired_fec", "expired_at_lh",
-        "bindings_used", "reply_info",
+        "expired_fec", "expired_at_lh", "bindings_used", "reply_info",
     )
 
     def __init__(
-        self, threshold, reason, hop_index, delay_ms, ip, stack, fec,
-        te_tunnel, expired_fec, expired_at_lh, bindings_used,
+        self, threshold, reason, hop_index, delay_ms, ip, stack,
+        expired_fec, expired_at_lh, bindings_used,
     ) -> None:
         self.threshold = threshold
         self.reason = reason
@@ -257,8 +230,6 @@ class TrajectoryEvent:
         self.delay_ms = delay_ms
         self.ip = ip
         self.stack = stack
-        self.fec = fec
-        self.te_tunnel = te_tunnel
         self.expired_fec = expired_fec
         self.expired_at_lh = expired_at_lh
         self.bindings_used = bindings_used
@@ -329,8 +300,6 @@ class TrajectoryBuilder:
                 (entry.label, entry.ttl, entry.bottom)
                 for entry in packet.stack
             ),
-            fec=packet.fec,
-            te_tunnel=packet.te_tunnel,
             expired_fec=expired_fec,
             expired_at_lh=expired_at_lh,
             bindings_used=len(packet.sites),
@@ -373,14 +342,10 @@ class TrajectoryBuilder:
 
 
 # ----------------------------------------------------------------------
-# Wire format: ships trajectories between processes.  Router and TE
-# tunnel objects become names; the ``reply_info`` memo and ``forced``
-# mark are deliberately dropped — the receiving engine must recompute
-# both so its label-allocation order stays untouched.
-
-def _te_ref(tunnel):
-    return None if tunnel is None else (tunnel.head, tunnel.tail)
-
+# Wire format: ships trajectories between processes.  Router objects
+# become names; the ``reply_info`` memo and ``forced`` mark are
+# deliberately dropped — the receiving engine must recompute both so
+# its label-allocation order stays untouched.
 
 def trajectory_to_wire(trajectory: Trajectory) -> dict:
     """Picklable, process-portable form of ``trajectory``."""
@@ -395,8 +360,7 @@ def trajectory_to_wire(trajectory: Trajectory) -> dict:
         "events": [
             (
                 event.threshold, event.reason, event.hop_index,
-                event.delay_ms, event.ip, event.stack, event.fec,
-                _te_ref(event.te_tunnel), event.expired_fec,
+                event.delay_ms, event.ip, event.stack, event.expired_fec,
                 event.expired_at_lh, event.bindings_used,
             )
             for event in trajectory.events
@@ -404,44 +368,20 @@ def trajectory_to_wire(trajectory: Trajectory) -> dict:
     }
 
 
-def trajectory_from_wire(wire: dict, network, te_lookup):
+def trajectory_from_wire(wire: dict, network):
     """Rebuild a :class:`Trajectory` shipped from another process.
 
-    ``network`` resolves router names; ``te_lookup(head, tail)``
-    resolves TE tunnel references.  Returns None when any reference
-    fails to resolve (the receiver then simply rebuilds on demand).
+    ``network`` resolves router names; returns None when one fails to
+    resolve (the receiver then simply rebuilds on demand).
     """
     try:
         routers = [network.router(name) for name in wire["names"]]
     except KeyError:
         return None
-    events = []
-    for (threshold, reason, hop_index, delay_ms, ip, stack, fec,
-         te_ref, expired_fec, expired_at_lh, bindings_used) in (
-            wire["events"]):
-        tunnel = None
-        if te_ref is not None:
-            tunnel = te_lookup(te_ref[0], te_ref[1])
-            if tunnel is None:
-                return None
-        event = TrajectoryEvent(
-            threshold=threshold,
-            reason=reason,
-            hop_index=hop_index,
-            delay_ms=delay_ms,
-            ip=ip,
-            stack=stack,
-            fec=fec,
-            te_tunnel=tunnel,
-            expired_fec=expired_fec,
-            expired_at_lh=expired_at_lh,
-            bindings_used=bindings_used,
-        )
-        events.append(event)
     return Trajectory(
         routers=routers,
         names=list(wire["names"]),
-        events=events,
+        events=[TrajectoryEvent(*fields) for fields in wire["events"]],
         thresholds=list(wire["thresholds"]),
         sites=list(wire["sites"]),
         src=wire["src"],

@@ -85,6 +85,10 @@ class Router:
         self.icmp_response_rate = 1.0
         self.interfaces: Dict[str, Interface] = {}
         self._addresses: Set[int] = {loopback}
+        self._prefixes: Set[Prefix] = set()
+        #: Neighbour -> first interface reaching it, filled by
+        #: :meth:`Network.add_link` once both sides are attached.
+        self._toward: Dict["Router", Interface] = {}
 
     # ------------------------------------------------------------------
     # Interfaces and addresses
@@ -98,6 +102,7 @@ class Router:
         interface = Interface(self, name, address, prefix, link)
         self.interfaces[name] = interface
         self._addresses.add(address)
+        self._prefixes.add(prefix)
         return interface
 
     def interface(self, name: str) -> Interface:
@@ -120,10 +125,7 @@ class Router:
 
     def is_connected_to(self, prefix: Prefix) -> bool:
         """True when one of the router's interfaces sits in ``prefix``."""
-        return any(
-            interface.prefix == prefix
-            for interface in self.interfaces.values()
-        )
+        return prefix in self._prefixes
 
     def neighbors(self) -> List["Router"]:
         """Directly connected routers, in interface order."""
@@ -133,11 +135,8 @@ class Router:
         ]
 
     def interface_toward(self, neighbor: "Router") -> Optional[Interface]:
-        """The local interface whose link reaches ``neighbor``."""
-        for interface in self.interfaces.values():
-            if interface.neighbor.router is neighbor:
-                return interface
-        return None
+        """The first local interface whose link reaches ``neighbor``."""
+        return self._toward.get(neighbor)
 
     def incoming_address_from(self, neighbor: "Router") -> Optional[int]:
         """Address of *this* router's interface facing ``neighbor``.

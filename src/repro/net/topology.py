@@ -211,6 +211,8 @@ class Network:
         name_b = if_name_b or f"if{len(b.interfaces)}"
         link.side_a = a.attach(name_a, addr_a, prefix, link)
         link.side_b = b.attach(name_b, addr_b, prefix, link)
+        a._toward.setdefault(b, link.side_a)
+        b._toward.setdefault(a, link.side_b)
         self._register_address(addr_a, a)
         self._register_address(addr_b, b)
         self.links.append(link)

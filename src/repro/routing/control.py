@@ -95,6 +95,8 @@ class ControlPlane:
         self._route_cache: Dict[Tuple[str, Prefix], Route] = {}
         self._ldp_all_prefixes: Dict[int, bool] = {}
         self._egress_cache: Dict[Tuple[str, int], Optional[Router]] = {}
+        #: Border routers of an AS toward a next AS, per (asn, next).
+        self._borders: Dict[Tuple[int, int], List[Router]] = {}
         #: Listener references: call one to get the live callback
         #: (None once a weakly held owner has been collected).
         self._invalidation_listeners: List[
@@ -183,6 +185,7 @@ class ControlPlane:
         self._route_cache.clear()
         self._ldp_all_prefixes.clear()
         self._egress_cache.clear()
+        self._borders.clear()
         self.bgp.invalidate()
         self._notify_invalidation()
 
@@ -240,14 +243,17 @@ class ControlPlane:
         key = (router.name, next_asn)
         if key in self._egress_cache:
             return self._egress_cache[key]
-        borders = [
-            candidate
-            for candidate in self.network.routers_in_as(router.asn)
-            if any(
-                interface.neighbor.router.asn == next_asn
-                for interface in candidate.interfaces.values()
-            )
-        ]
+        borders = self._borders.get((router.asn, next_asn))
+        if borders is None:
+            borders = [
+                candidate
+                for candidate in self.network.routers_in_as(router.asn)
+                if any(
+                    interface.neighbor.router.asn == next_asn
+                    for interface in candidate.interfaces.values()
+                )
+            ]
+            self._borders[(router.asn, next_asn)] = borders
         egress: Optional[Router]
         if not borders:
             egress = None

@@ -143,6 +143,22 @@ class TestControlPlaneResolution:
         assert route.kind is RouteKind.EXTERNAL
         assert route.next_hops == (r2,)
 
+    def test_hot_potato_sees_border_added_after_invalidate(self):
+        network = Network()
+        a1 = network.add_router("A1", asn=1)
+        a2 = network.add_router("A2", asn=1)
+        a3 = network.add_router("A3", asn=1)
+        b = network.add_router("B", asn=2)
+        network.add_link(a1, a2)
+        network.add_link(a2, a3)
+        network.add_link(a3, b)
+        control = ControlPlane(network)
+        assert control.hot_potato_egress(a1, 2) is a3
+        network.add_link(a1, b)
+        control.invalidate()
+        assert control.hot_potato_egress(a1, 2) is a1
+        assert control.resolve(a1, b.loopback).next_hops == (b,)
+
     def test_unreachable(self):
         network, (r1, _, _) = build_line_of_ases()
         lonely = network.add_router("Lonely", asn=9)

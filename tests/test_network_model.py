@@ -14,6 +14,8 @@ from repro.net.vendors import (
     PROFILES,
     profile_named,
 )
+from repro.synth.internet import InternetConfig, build_internet
+from repro.synth.profiles import paper_profiles
 
 
 class TestVendorProfiles:
@@ -104,6 +106,53 @@ class TestRouter:
         network.add_link(a, b)
         network.add_link(a, c)
         assert {r.name for r in a.neighbors()} == {"B", "C"}
+
+    def test_interface_toward_sees_links_attached_later(self):
+        network = Network()
+        a = network.add_router("A", asn=1)
+        b = network.add_router("B", asn=1)
+        c = network.add_router("C", asn=1)
+        network.add_link(a, b)
+        assert a.interface_toward(c) is None
+        link = network.add_link(a, c)
+        assert a.interface_toward(c) is link.side_a
+        assert c.interface_toward(a) is link.side_b
+
+    def test_interface_toward_first_parallel_link_wins(self):
+        network = Network()
+        a = network.add_router("A", asn=1)
+        b = network.add_router("B", asn=1)
+        first = network.add_link(a, b)
+        network.add_link(a, b)
+        assert a.interface_toward(b) is first.side_a
+        assert b.interface_toward(a) is first.side_b
+
+    def test_lookups_match_interface_scan(self):
+        network = build_internet(
+            InternetConfig(
+                profiles=tuple(paper_profiles(0.4)),
+                vantage_points=3,
+                stubs_per_transit=2,
+                seed=11,
+            )
+        ).network
+        prefixes = [link.prefix for link in network.links]
+        prefixes.append(Prefix(parse_address("192.0.2.0"), 30))
+        for router in network.routers.values():
+            for prefix in prefixes:
+                assert router.is_connected_to(prefix) == any(
+                    interface.prefix == prefix
+                    for interface in router.interfaces.values()
+                )
+            for other in network.routers.values():
+                assert router.interface_toward(other) is next(
+                    (
+                        interface
+                        for interface in router.interfaces.values()
+                        if interface.neighbor.router is other
+                    ),
+                    None,
+                )
 
 
 class TestNetworkContainer:

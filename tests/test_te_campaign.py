@@ -4,7 +4,8 @@ The contract under test (ISSUE: RSVP-TE promotion): the synth
 generator renders seeded TE tunnels that real transit traffic rides;
 TE-free builds stay byte-identical to older seeds; recorded probe
 logs are byte-identical between the trajectory-cached engine and the
-walk-per-probe engine with TE tunnels installed, and so are replies
+walk-per-probe engine with TE tunnels installed, clean and under
+hostile faults, and so are replies
 submitted through the batch path; memoised trajectories
 flush on TE install *and* teardown; a chaos-flap campaign with TE
 completes; and a mixed LDP+TE campaign checkpoints and resumes
@@ -17,6 +18,7 @@ import pytest
 
 from repro.campaign.orchestrator import Campaign, CampaignConfig
 from repro.experiments.common import CampaignContext, ContextConfig
+from repro.faults import FaultyBackend, fault_profile
 from repro.measure import RecordingBackend, SimBackend
 from repro.measure.backend import ProbeRequest
 from repro.obs import measurement_counters
@@ -93,10 +95,13 @@ class TestSynthTe:
         assert ridden > 0
 
 
-def _record_log(tmp_path, name, trajectory_cache):
+def _record_log(tmp_path, name, trajectory_cache, profile):
     internet = te_internet(trajectory_cache=trajectory_cache)
+    backend = SimBackend(internet.engine)
+    if profile is not None:
+        backend = FaultyBackend(backend, fault_profile(profile))
     path = str(tmp_path / name)
-    recording = RecordingBackend(SimBackend(internet.engine), path)
+    recording = RecordingBackend(backend, path)
     prober = Prober(recording, obs=internet.engine.obs)
     vp = internet.vps[0]
     for dst in internet.campaign_targets()[:6]:
@@ -128,9 +133,18 @@ def _observed(replies):
 
 class TestTeForwarding:
     def test_logs_byte_identical(self, tmp_path):
-        cached = _record_log(tmp_path, "cached.jsonl", True)
-        walked = _record_log(tmp_path, "walked.jsonl", False)
-        assert cached == walked
+        # Clean, then with hostile faults dropping, delaying and
+        # mangling replies on top of TE steering: replies steered onto
+        # TE head-ends and TE expiries carried to the LSP end must walk
+        # exactly as walk-per-probe does.
+        for profile in (None, "hostile"):
+            cached = _record_log(
+                tmp_path, f"cached-{profile}.jsonl", True, profile
+            )
+            walked = _record_log(
+                tmp_path, f"walked-{profile}.jsonl", False, profile
+            )
+            assert cached == walked, profile
 
     @pytest.mark.parametrize("size", [1, 8])
     def test_batches_match_serial_walk(self, size):

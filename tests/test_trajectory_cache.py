@@ -15,6 +15,7 @@ import pytest
 
 from repro.campaign.orchestrator import Campaign, CampaignConfig
 from repro.dataplane.engine import ForwardingEngine
+from repro.dataplane.packet import ECHO_REQUEST
 from repro.faults import FaultyBackend, fault_profile
 from repro.measure import RecordingBackend, SimBackend
 from repro.measure.backend import ProbeRequest
@@ -271,6 +272,27 @@ class TestCacheManagement:
         assert 0.0 < stats["hit_rate"] <= 1.0
         assert stats["cached_trajectories"] == len(engine._trajectories)
         assert stats["packets_simulated"] == engine.packets_simulated
+
+    def test_replies_leave_no_trajectories(self):
+        """Only probes are memoised: replies walk concretely once per
+        trajectory event, so the cache holds one trajectory per
+        distinct probe key and nothing for the replies."""
+        internet = small_internet()
+        engine = internet.engine
+        sent = set()
+        send_probe = engine.send_probe
+
+        def recording(source, dst, ttl, flow_id=0, kind=ECHO_REQUEST):
+            sent.add((source.name, dst, flow_id, kind))
+            return send_probe(source, dst, ttl, flow_id, kind)
+
+        engine.send_probe = recording
+        for vp in internet.vps:
+            for dst in internet.campaign_targets()[:5]:
+                internet.prober.traceroute(vp, dst)
+                internet.prober.ping(vp, dst)
+        assert engine.packets_simulated > engine.trajectory_misses
+        assert engine.cache_stats()["cached_trajectories"] == len(sent)
 
     def test_invalidate_flushes_trajectories(self):
         internet = build_internet(InternetConfig(seed=77))

@@ -16,8 +16,8 @@ Usage::
     python tools/bench_guard.py --monitor
     python tools/bench_guard.py --fleet
 
-By default the scalar traceroute hot path and the RSVP-TE steering
-path are guarded; pass ``--bench`` to guard more.  ``--monitor``
+By default the scalar traceroute hot path, its cold-cache variant and
+the RSVP-TE steering path are guarded; pass ``--bench`` to guard more.  ``--monitor``
 validates the committed ``monitor_incremental_speedup`` section
 instead of (or in addition to) the bench means, and ``--fleet`` the
 committed ``fleet_throughput``/``fleet_recovery`` sections (shared
@@ -32,10 +32,12 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Benches guarded when ``--bench`` is not given: the scalar hot path
-#: every other bench builds on, and the RSVP-TE steering path layered
-#: on top of it.
+#: every other bench builds on, the cold-cache trace that pays every
+#: probe build and reply walk, and the RSVP-TE steering path layered
+#: on top of them.
 DEFAULT_BENCHES = (
     "test_perf_full_traceroute_uncached",
+    "test_perf_full_traceroute_cold",
     "test_perf_full_traceroute_te",
 )
 

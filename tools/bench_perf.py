@@ -61,7 +61,9 @@ def cache_stats() -> dict:
     into the totals — the engine's own counters only see the parent
     process, so without the merge a multi-worker run reports an
     inflated hit rate (the workers' cold misses happen off-process
-    while their trajectories replay in the parent as pure hits).
+    while their probe trajectories replay in the parent as pure hits).
+    Replies never enter the trajectory cache: the parent walks each
+    one concretely during its replay, and ``hops_walked`` counts them.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.campaign.orchestrator import Campaign, CampaignConfig
