@@ -12,7 +12,8 @@ The subsystem has four legs:
   ride the lazy-attach path instead of paying ``internet_build``;
 * :mod:`repro.serve.scheduler` — the weighted fair scheduler and the
   :class:`~repro.serve.scheduler.ScheduledBackend` turnstile that
-  interleaves probe batches across tenants;
+  interleaves probe batches across tenants in weighted quanta, on the
+  session threads;
 * :mod:`repro.serve.session` — per-tenant session lifecycle: spec,
   isolated measurement stack, JSONL event streaming, checkpoint
   resume, and the standalone twin used for bit-identity checks;

@@ -1,23 +1,22 @@
 """Weighted fair scheduling of probe batches across tenants.
 
-The scheduler is a *turnstile*: at most ``concurrency`` grants (one,
-by default) are outstanding at any moment, and the next grant always
-goes to the waiting tenant with the smallest **virtual time** —
-probes charged divided by weight, the classic weighted-fair-queueing
-invariant.  A tenant with weight 10 therefore moves ten probes for
-every one a weight-1 tenant moves while both are backlogged, and a
-tenant that got lucky while its competitor was briefly idle
-automatically waits longer afterwards (virtual times reconverge).
+The scheduler is a *turnstile*: one grant is outstanding at a time,
+so the shared simulator is never entered concurrently.  Turns go by
+**virtual time** — probes charged divided by weight.  The live lane
+with the smallest virtual time takes the turnstile for a *quantum*,
+until it has advanced :data:`QUANTUM` past the floor it took it at:
+deficit round robin, so a weight-4 lane moves 32 probes per turn, a
+weight-1 lane 8, and grant ratios equal weight ratios to within one
+quantum.
 
-Campaign sessions run in worker threads; the scheduler's state lives
-on the server's asyncio loop.  :class:`ScheduledBackend` is the
-bridge: a transparent :class:`~repro.measure.backend.ProbeBackend`
-wrapper that blocks the session thread on a grant before forwarding
-each ``submit``/``submit_batch`` to the real backend, then releases
-the turnstile.  Because grants are serialized, the shared simulator
-is never entered concurrently — which is also what keeps a served
-campaign byte-identical to a standalone run: scheduling decides
-*when* a batch runs, never what it probes.
+The turnstile lives on the session threads: state sits behind one
+:class:`threading.Condition` and :class:`ScheduledBackend`, a
+transparent :class:`~repro.measure.backend.ProbeBackend` wrapper,
+makes plain blocking ``acquire``/``release`` calls around each
+``submit``/``submit_batch``.  A thread inside its quantum neither
+blocks nor wakes anyone.  Scheduling decides *when* a batch runs,
+never what it probes, so served campaigns stay byte-identical to
+standalone runs.
 
 Counters (server registry, ``serve.*`` family): queue depth gauge
 ``serve.queue_depth``, ``serve.batches_dispatched``,
@@ -27,21 +26,24 @@ Counters (server registry, ``serve.*`` family): queue depth gauge
 
 from __future__ import annotations
 
-import asyncio
-from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+import threading
+import time
+from typing import Dict, Optional, Set
 
 from repro.obs import Obs
 
-__all__ = ["FairScheduler", "ScheduledBackend"]
+__all__ = ["QUANTUM", "FairScheduler", "ScheduledBackend"]
+
+#: Virtual time a lane may advance per turn (measured: DESIGN §13).
+QUANTUM = 8.0
 
 
 class _Lane(object):
-    """Per-tenant scheduler state (loop-thread only)."""
+    """Per-tenant scheduler state (guarded by the scheduler's lock)."""
 
     __slots__ = (
         "name", "weight", "charged", "granted_probes",
-        "granted_batches", "waiters", "refs",
+        "granted_batches", "waiting", "refs",
     )
 
     def __init__(self, name: str, weight: float) -> None:
@@ -52,8 +54,7 @@ class _Lane(object):
         self.charged = 0.0
         self.granted_probes = 0
         self.granted_batches = 0
-        #: FIFO of ``(cost, future)`` waiting for a grant.
-        self.waiters: Deque[Tuple[int, asyncio.Future]] = deque()
+        self.waiting = 0  # threads blocked in acquire
         #: Running sessions referencing this lane; a lane with no
         #: refs is *retired* — it keeps its totals for stats but no
         #: longer holds the turnstile for its virtual time.
@@ -68,23 +69,25 @@ class _Lane(object):
 class FairScheduler:
     """Deficit-weighted turnstile over tenant lanes.
 
-    All state mutation happens on the owning asyncio loop;
-    :meth:`acquire` is a coroutine, :meth:`release` is loop-thread
-    sync (sessions call it via ``call_soon_threadsafe``).
+    Thread-safe: every method takes the one condition lock (an
+    ``RLock``).  The server calls :meth:`register` and :meth:`retire`
+    as sessions start and finish.
     """
 
-    def __init__(
-        self, obs: Optional[Obs] = None, concurrency: int = 1
-    ) -> None:
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
+    def __init__(self, obs: Optional[Obs] = None) -> None:
         self.obs = obs if obs is not None else Obs()
-        self.concurrency = concurrency
         self._lanes: Dict[str, _Lane] = {}
-        self._active = 0
+        #: Lanes with running sessions (``refs > 0``).
+        self._live: Set[_Lane] = set()
+        self._cond = threading.Condition()
+        #: A grant is outstanding (its batch is in the simulator).
+        self._busy = False
+        #: The lane whose quantum runs, and where that quantum ends.
+        self._holder: Optional[_Lane] = None
+        self._quantum_end = 0.0
 
     # ------------------------------------------------------------------
-    # Lane lifecycle (loop thread)
+    # Lane lifecycle
 
     def register(self, tenant: str, weight: float = 1.0) -> None:
         """Open (or re-enter) the lane for a starting session.
@@ -98,120 +101,136 @@ class FairScheduler:
         """
         if weight <= 0:
             raise ValueError(f"weight must be positive: {weight}")
-        lane = self._lanes.get(tenant)
-        if lane is None:
-            lane = _Lane(tenant, weight)
-            floor = min(
-                (
-                    other.virtual_time
-                    for other in self._lanes.values()
-                    if other.refs > 0
-                ),
-                default=0.0,
-            )
-            lane.charged = floor * weight
-            self._lanes[tenant] = lane
-        else:
-            lane.weight = weight
-        lane.refs += 1
+        with self._cond:
+            lane = self._lanes.get(tenant)
+            if lane is None:
+                lane = _Lane(tenant, weight)
+                floor = min(
+                    (other.virtual_time for other in self._live),
+                    default=0.0,
+                )
+                lane.charged = floor * weight
+                self._lanes[tenant] = lane
+            else:
+                lane.weight = weight
+            lane.refs += 1
+            self._live.add(lane)
 
     def retire(self, tenant: str) -> None:
         """A session on this lane finished; release its pacing hold.
 
         The lane keeps its grant totals for stats, but once no
         running session references it the scheduler stops waiting for
-        it to catch up, and any stranded waiters are granted so the
-        owning thread can unwind.
+        it to catch up, ends its quantum, and lets any stranded
+        waiter on it through so the owning thread can unwind.
         """
-        lane = self._lanes.get(tenant)
-        if lane is None:
-            return
-        lane.refs = max(0, lane.refs - 1)
-        if lane.refs == 0:
-            while lane.waiters:
-                _, future = lane.waiters.popleft()
-                if not future.done():
-                    future.set_result(None)
-        self._dispatch()
+        with self._cond:
+            lane = self._lanes.get(tenant)
+            if lane is None or lane.refs == 0:
+                return
+            lane.refs -= 1
+            if lane.refs == 0:
+                self._live.discard(lane)
+                if self._holder is lane:
+                    self._holder = None
+            self._wake()
 
     # ------------------------------------------------------------------
     # The turnstile
 
-    async def acquire(self, tenant: str, cost: int) -> None:
-        """Wait for this tenant's turn to move ``cost`` probes."""
-        lane = self._lanes[tenant]
-        future = asyncio.get_running_loop().create_future()
-        lane.waiters.append((max(1, int(cost)), future))
-        self._dispatch()
-        await future
-
-    def release(self, tenant: str, cost: int) -> None:
-        """Return the grant taken by :meth:`acquire` (loop thread)."""
-        self._active -= 1
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        """Grant free turnstile slots, pacing by virtual time.
-
-        The grant always goes to the globally minimum-virtual-time
-        *live* lane.  If that lane is momentarily between probes (not
-        waiting), the turnstile deliberately idles until it shows up
-        or retires — without this hold, two alternating tenants
-        degrade to 1:1 round-robin no matter their weights, because
-        at each release the other tenant is the only waiter.  The
-        hold is bounded by the laggard's between-probe compute (or
-        its session teardown), so throughput stays intact while the
-        10:1 weighted ratio becomes exact.
-        """
-        metrics = self.obs.metrics
-        while self._active < self.concurrency:
-            live = [
-                lane for lane in self._lanes.values() if lane.refs > 0
-            ]
-            waiting = [lane for lane in live if lane.waiters]
-            if not waiting:
-                break
-            floor = min(
-                (lane.virtual_time, lane.name) for lane in live
-            )
-            lane = min(
-                waiting,
-                key=lambda lane: (lane.virtual_time, lane.name),
-            )
-            if (lane.virtual_time, lane.name) > floor:
-                break  # hold the slot for the pace-setting laggard
-            cost, future = lane.waiters.popleft()
-            if future.done():  # cancelled while queued
-                continue
-            self._active += 1
+    def acquire(self, tenant: str, cost: int) -> None:
+        """Block until this tenant may move ``cost`` probes."""
+        cost = max(1, int(cost))
+        with self._cond:
+            lane = self._lanes[tenant]
+            if not self._may_enter(lane):
+                self._queue(lane, +1)
+                while not self._may_enter(lane):
+                    self._cond.wait()
+                self._queue(lane, -1)
+            self._busy = True
+            if self._holder is None and lane.refs > 0:
+                self._holder = lane
+                self._quantum_end = lane.virtual_time + QUANTUM
             lane.charged += cost
             lane.granted_probes += cost
             lane.granted_batches += 1
+            metrics = self.obs.metrics
             metrics.inc("serve.batches_dispatched")
             metrics.inc("serve.probes_granted", cost)
             metrics.inc(f"serve.tenant.{lane.name}.batches")
             metrics.inc(f"serve.tenant.{lane.name}.probes", cost)
-            future.set_result(None)
-        metrics.set_gauge("serve.queue_depth", self.queue_depth())
+
+    def release(self) -> None:
+        """Return the grant; end a used-up quantum; wake a waiter
+        only if one may enter.  A lane running alone never blocks, so
+        it yields the interpreter here: else the loop admitting the
+        next tenant waits out the switch interval while the lone lane
+        runs up to ~180 probes past the newcomer's floor.
+        """
+        with self._cond:
+            self._busy = False
+            holder = self._holder
+            if holder and holder.virtual_time >= self._quantum_end:
+                self._holder = None
+            self._wake()
+            alone = len(self._live) == 1
+        if alone:
+            time.sleep(0)
+
+    def _may_enter(self, lane: _Lane) -> bool:
+        """Whether a thread on ``lane`` may take the turnstile now.
+
+        Inside a quantum only the holder's lane enters; between quanta
+        only the minimum-virtual-time live lane, and the turnstile
+        idles while that laggard is between probes — without the
+        hold, two alternating tenants degrade to 1:1 round-robin.  A
+        retired lane's stranded waiter skips the pacing.
+        """
+        if self._busy:
+            return False
+        if lane.refs == 0:
+            return True
+        if self._holder is not None:
+            return self._holder is lane
+        floor = min(
+            (other.virtual_time, other.name) for other in self._live
+        )
+        return floor == (lane.virtual_time, lane.name)
+
+    def _queue(self, lane: _Lane, delta: int) -> None:
+        """Count a thread into or out of the wait; publish the depth."""
+        lane.waiting += delta
+        self.obs.metrics.set_gauge("serve.queue_depth", self.queue_depth())
+
+    def _wake(self) -> None:
+        """Notify the waiters if any of them may now enter."""
+        if any(
+            lane.waiting and self._may_enter(lane)
+            for lane in self._lanes.values()
+        ):
+            self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Introspection
 
     def queue_depth(self) -> int:
-        """Probe batches currently waiting for a grant."""
-        return sum(len(lane.waiters) for lane in self._lanes.values())
+        """Threads currently waiting for a grant."""
+        with self._cond:
+            return sum(lane.waiting for lane in self._lanes.values())
 
     def stats(self) -> Dict[str, Dict[str, object]]:
-        """Per-tenant grant totals (snapshot; loop thread)."""
-        return {
-            lane.name: {
-                "weight": lane.weight,
-                "granted_probes": lane.granted_probes,
-                "granted_batches": lane.granted_batches,
-                "virtual_time": round(lane.virtual_time, 3),
+        """Per-tenant grant totals (snapshot)."""
+        with self._cond:
+            return {
+                lane.name: {
+                    "weight": lane.weight,
+                    "granted_probes": lane.granted_probes,
+                    "granted_batches": lane.granted_batches,
+                    "virtual_time": round(lane.virtual_time, 3),
+                }
+                for lane in self._lanes.values()
             }
-            for lane in self._lanes.values()
-        }
 
 
 class ScheduledBackend:
@@ -221,50 +240,31 @@ class ScheduledBackend:
     :class:`~repro.measure.service.ProbeService`, prober, campaign, or
     prewarm machinery probes for (``engine``, ``obs``, ``name``,
     trajectory hooks, ``fault_state``…) delegates to the wrapped
-    backend, so wrapping changes scheduling and nothing else.  The
-    blocking handshake runs the scheduler coroutine on the server's
-    loop from the session's worker thread.
+    backend, so wrapping changes scheduling and nothing else.
     """
 
-    def __init__(self, inner, scheduler: FairScheduler, tenant: str,
-                 loop: asyncio.AbstractEventLoop) -> None:
+    def __init__(self, inner, scheduler: FairScheduler, tenant: str) -> None:
         self._inner = inner
         self._scheduler = scheduler
         self._tenant = tenant
-        self._loop = loop
 
     def __getattr__(self, name: str):
         """Delegate everything but the turnstile to the inner backend."""
         return getattr(self._inner, name)
 
-    # ------------------------------------------------------------------
-
-    def _turn(self, cost: int) -> None:
-        """Block this thread until the scheduler grants ``cost``."""
-        asyncio.run_coroutine_threadsafe(
-            self._scheduler.acquire(self._tenant, cost), self._loop
-        ).result()
-
-    def _done(self, cost: int) -> None:
-        """Release the grant back to the turnstile."""
-        self._loop.call_soon_threadsafe(
-            self._scheduler.release, self._tenant, cost
-        )
-
     def submit(self, request):
         """One probe, after a one-probe grant."""
-        self._turn(1)
+        self._scheduler.acquire(self._tenant, 1)
         try:
             return self._inner.submit(request)
         finally:
-            self._done(1)
+            self._scheduler.release()
 
     def submit_batch(self, requests):
         """One batch, charged by its probe count."""
         batch = list(requests)
-        cost = max(1, len(batch))
-        self._turn(cost)
+        self._scheduler.acquire(self._tenant, len(batch))
         try:
             return self._inner.submit_batch(batch)
         finally:
-            self._done(cost)
+            self._scheduler.release()

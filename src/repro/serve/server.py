@@ -4,7 +4,8 @@
 owns the snapshot registry, the fair scheduler, and the session
 table, and multiplexes tenant campaigns over a bounded pool of
 executor threads.  Sessions beyond ``max_active`` queue; the
-scheduler turnstile interleaves the active ones batch-by-batch.
+scheduler turnstile interleaves the active ones on their own threads,
+so the event loop sees admission, drain and live streams, never a probe.
 
 Admission control happens at :meth:`CampaignServer.submit`: unknown
 chaos profiles, network-mutating profiles (illegal against frozen
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from collections import deque
+from collections import Counter, deque
 from typing import Deque, Dict, List, Optional, Set
 
 from repro.obs import Obs
@@ -50,11 +51,10 @@ class CampaignServer:
     """Async multi-tenant campaign service.
 
     ``max_active`` bounds concurrently *running* sessions (each holds
-    one executor thread); ``concurrency`` is the scheduler turnstile
-    width (1 = strictly serialized probe batches, the deterministic
-    default).  ``stream_sink`` (an object with ``write(record)``)
-    receives every session's events tagged with its tenant name —
-    the combined JSONL stream the CLI writes.
+    one executor thread).  ``stream_sink`` (an object with
+    ``write(record)``) receives every session's events tagged with its
+    tenant name — the combined JSONL stream the CLI writes.  Finished
+    sessions are pruned; :meth:`stats` tallies them by status.
     """
 
     def __init__(
@@ -62,7 +62,6 @@ class CampaignServer:
         registry: Optional[SnapshotRegistry] = None,
         obs: Optional[Obs] = None,
         max_active: int = 4,
-        concurrency: int = 1,
         stream_sink=None,
     ) -> None:
         if max_active < 1:
@@ -72,11 +71,10 @@ class CampaignServer:
             registry if registry is not None
             else SnapshotRegistry(obs=self.obs)
         )
-        self.scheduler = FairScheduler(
-            obs=self.obs, concurrency=concurrency
-        )
+        self.scheduler = FairScheduler(obs=self.obs)
         self.max_active = max_active
-        self.sessions: List[CampaignSession] = []
+        #: Finished sessions by final status (they are no longer kept).
+        self._finished: Counter = Counter()
         self._pending: Deque[CampaignSession] = deque()
         self._running: Set[CampaignSession] = set()
         self._draining = False
@@ -160,7 +158,6 @@ class CampaignServer:
             shared_sink=self._stream_sink,
             shared_sink_lock=self._stream_lock,
         )
-        self.sessions.append(session)
         self._pending.append(session)
         self.obs.metrics.inc("serve.sessions.submitted")
         self._pump()
@@ -215,19 +212,22 @@ class CampaignServer:
             denied = session.metrics.get("measure.budget.denied")
             if denied:
                 self.obs.metrics.inc("serve.budget_denials", denied)
-        session.grant_snapshot = self.scheduler.stats()
+        self._settle(session)
         self.scheduler.retire(session.spec.tenant)
-        session._finalize_stream()
-        session._done_event.set()
         self._pump()
 
     def _cancel(self, session: CampaignSession) -> None:
         """Cancel a still-queued session (loop thread)."""
         session.status = CANCELLED
         self.obs.metrics.inc("serve.sessions.cancelled")
+        self._settle(session)
+
+    def _settle(self, session: CampaignSession) -> None:
+        """Tally a finished session and wake its waiters."""
         session.grant_snapshot = self.scheduler.stats()
-        session._finalize_stream()
+        self._finished[session.status] += 1
         session._done_event.set()
+        session._finalize_stream()
 
     def _update_idle(self) -> None:
         """Track whether any work remains (drain waits on this)."""
@@ -257,15 +257,17 @@ class CampaignServer:
         if self._idle is not None:
             await self._idle.wait()
 
+    @property
+    def sessions(self) -> List[CampaignSession]:
+        """Sessions still queued or running; finished ones are
+        pruned."""
+        return [*self._pending, *self._running]
+
     def stats(self) -> Dict[str, object]:
         """Server summary: sessions, scheduler lanes, registry reuse."""
-        by_status: Dict[str, int] = {}
-        for session in self.sessions:
-            by_status[session.status] = (
-                by_status.get(session.status, 0) + 1
-            )
+        live = Counter(session.status for session in self.sessions)
         return {
-            "sessions": by_status,
+            "sessions": dict(self._finished + live),
             "queued": len(self._pending),
             "running": len(self._running),
             "draining": self._draining,

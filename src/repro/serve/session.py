@@ -23,7 +23,8 @@ Streaming: each session's structured events (phase starts, probes,
 revelation verdicts, the final ``campaign.metrics`` record) are
 buffered on the session, optionally mirrored to a per-session JSONL
 file and to the server's combined tagged stream, and can be consumed
-live through :meth:`CampaignSession.stream`.
+live through :meth:`CampaignSession.stream`, which alone makes the
+session thread wake the server's loop (once per batch of records).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.campaign.orchestrator import CampaignResult
@@ -113,17 +115,6 @@ class TenantSpec:
         return internet.campaign_targets()[: self.max_targets]
 
 
-class _BufferSink:
-    """Event sink buffering records and feeding the live stream."""
-
-    def __init__(self, session: "CampaignSession") -> None:
-        self._session = session
-
-    def write(self, record: Dict[str, object]) -> None:
-        """Buffer one record and push it to any live consumer."""
-        self._session._on_event(record)
-
-
 class _TaggedSink:
     """Thread-safe wrapper adding a ``tenant`` field to records bound
     for a sink shared across sessions (the server's combined
@@ -179,8 +170,10 @@ class CampaignSession:
         self._shared_sink = shared_sink
         self._shared_sink_lock = shared_sink_lock
         self._done_event = asyncio.Event()
-        self._stream_queue: "asyncio.Queue" = asyncio.Queue()
-        self._stream_closed = False
+        #: Live stream consumers; whether a loop wake-up is pending.
+        self._listeners = 0
+        self._wake_pending = False
+        self._news = asyncio.Event()
 
     # ------------------------------------------------------------------
     # Consumer API (loop thread)
@@ -204,32 +197,36 @@ class CampaignSession:
         Events already buffered are yielded first, so late consumers
         see the full stream.
         """
-        for record in list(self.events):
-            yield record
-        while True:
-            record = await self._stream_queue.get()
-            if record is None:
-                return
-            yield record
+        self._listeners += 1
+        try:
+            sent = 0
+            while True:
+                self._news.clear()
+                while sent < len(self.events):
+                    yield self.events[sent]
+                    sent += 1
+                if self._done_event.is_set():
+                    return
+                await self._news.wait()
+        finally:
+            self._listeners -= 1
 
     # ------------------------------------------------------------------
     # Event plumbing
 
     def _on_event(self, record: Dict[str, object]) -> None:
-        """Buffer a record and feed the live stream (worker thread)."""
+        """Buffer a record; wake live consumers (worker thread).
+        They re-read the buffer on waking, so one pending wake-up
+        covers every record appended before it runs."""
         self.events.append(record)
-        self._loop.call_soon_threadsafe(self._push_stream, record)
-
-    def _push_stream(self, record) -> None:
-        """Enqueue a record for :meth:`stream` (loop thread)."""
-        if not self._stream_closed:
-            self._stream_queue.put_nowait(record)
+        if self._listeners and not self._wake_pending:
+            self._wake_pending = True
+            self._loop.call_soon_threadsafe(self._finalize_stream)
 
     def _finalize_stream(self) -> None:
-        """Close the live stream with a sentinel (loop thread)."""
-        if not self._stream_closed:
-            self._stream_closed = True
-            self._stream_queue.put_nowait(None)
+        """Flush new records to :meth:`stream` consumers (loop thread)."""
+        self._wake_pending = False
+        self._news.set()
 
     # ------------------------------------------------------------------
     # Execution (worker thread)
@@ -239,11 +236,11 @@ class CampaignSession:
 
         Runs on an executor thread; everything it touches is either
         session-private or explicitly thread-safe (registry lock,
-        scheduler handshake, tagged shared sink).
+        scheduler lock, tagged shared sink).
         """
         spec = self.spec
         events = EventLog()
-        events.attach(_BufferSink(self))
+        events.attach(SimpleNamespace(write=self._on_event))
         file_sink = None
         if spec.events_path is not None:
             file_sink = JsonlSink(spec.events_path)
@@ -260,7 +257,7 @@ class CampaignSession:
         attached = self._registry.attach(spec.topology, obs=obs)
         gate = ScheduledBackend(
             probe_backend(attached.engine, spec.fault_profile),
-            self._scheduler, spec.tenant, self._loop,
+            self._scheduler, spec.tenant,
         )
         prober = Prober(gate)
         campaign = campaign_for(spec, attached, prober)

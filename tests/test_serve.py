@@ -8,6 +8,9 @@ admission turns unsafe specs away up front, and drain settles every
 submitted session.
 """
 
+import asyncio
+import time
+
 import pytest
 
 from repro.net.topology import FrozenNetworkError
@@ -281,6 +284,82 @@ class TestLifecycle:
             "renders", "attach_hits", "builds_avoided", "saved_ms",
         }
         assert "s" in stats["scheduler"]
+
+    def test_finished_sessions_are_pruned(self):
+        client = ServeClient(registry=SnapshotRegistry())
+        try:
+            handles = []
+            for index in range(30):
+                handle = client.submit(
+                    small_spec(f"p{index:02d}", max_targets=4)
+                )
+                handle.wait(timeout=300)
+                handles.append(handle)
+            client.drain(timeout=300)
+            stats = client.stats()
+            assert client.server.sessions == []
+            assert stats["sessions"] == {"done": 30}
+            for handle in handles:
+                assert handle.wait(timeout=5).traces
+                kinds = [record.get("kind") for record in handle.events]
+                assert kinds[-1] == "campaign.metrics"
+        finally:
+            client.close()
+
+
+class TestLiveStream:
+    def test_late_consumer_gets_backlog_then_live_records(self):
+        """A consumer attaching mid-run receives exactly the
+        session's events, in order, and stops at completion."""
+        client = ServeClient(registry=SnapshotRegistry())
+        scheduler = client.server.scheduler
+        # A live lane that never probes sorts first at the floor, so
+        # the session blocks at its first probe until it retires.
+        scheduler.register("!hold")
+        try:
+            handle = client.submit(small_spec("streamed"))
+            session = handle.session
+            deadline = time.monotonic() + 60
+            while scheduler.queue_depth() == 0:
+                assert time.monotonic() < deadline, "session never probed"
+                time.sleep(0.01)
+            assert handle.status == "running"
+
+            async def consume():
+                backlog = len(session.events)
+                asyncio.get_running_loop().call_soon(
+                    scheduler.retire, "!hold"
+                )
+                records = [record async for record in session.stream()]
+                return backlog, records
+
+            backlog, records = client._call(consume(), timeout=300)
+            handle.wait(timeout=300)
+        finally:
+            client.close()
+        assert backlog < len(records)
+        assert records == session.events
+        assert all(a is b for a, b in zip(records, session.events))
+        assert records[-1]["kind"] == "campaign.metrics"
+
+    def test_unstreamed_session_barely_touches_the_loop(self):
+        client = ServeClient(registry=SnapshotRegistry())
+        loop = client._loop
+        calls = []
+        schedule = loop.call_soon_threadsafe
+
+        def counting(callback, *args, **kwargs):
+            calls.append(callback)
+            return schedule(callback, *args, **kwargs)
+
+        loop.call_soon_threadsafe = counting
+        try:
+            handle = client.submit(small_spec("quiet"))
+            handle.wait(timeout=300)
+        finally:
+            client.close()
+        assert len(handle.events) > 50
+        assert len(calls) <= 8, calls
 
 
 class TestTopologyKey:
