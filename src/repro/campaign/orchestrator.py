@@ -244,7 +244,14 @@ class CandidatePair:
 
 @dataclass
 class CampaignResult:
-    """Everything a campaign produced."""
+    """Everything a campaign produced.
+
+    ``==`` is the one definition of "the same campaign outcome": every
+    field compares except ``perf`` and ``checkpoint_dir``, and the
+    signature inventory and RTLA analyzer compare by value.  Resume,
+    serve and fleet identity checks use it, plus the measurement
+    counters.
+    """
 
     traces: List[Trace] = field(default_factory=list)
     pings: Dict[int, PingResult] = field(default_factory=dict)

@@ -95,6 +95,16 @@ class RtlaAnalyzer:
         self._er_ttl: Dict[Tuple[str, int], int] = {}
         self.obs = obs if obs is not None else Obs()
 
+    def __eq__(self, other: object) -> bool:
+        """Equal over the observations; the ``obs`` sink is not state."""
+        if not isinstance(other, RtlaAnalyzer):
+            return NotImplemented
+        return (
+            self.inventory == other.inventory
+            and self._te_ttl == other._te_ttl
+            and self._er_ttl == other._er_ttl
+        )
+
     def bind_obs(self, obs: Obs) -> "RtlaAnalyzer":
         """Redirect future intake counters into ``obs``.
 

@@ -128,6 +128,12 @@ class SignatureInventory:
         self._te: Dict[int, List[int]] = {}
         self._er: Dict[int, List[int]] = {}
 
+    def __eq__(self, other: object) -> bool:
+        """Equal when both hold the same observations, in order."""
+        if not isinstance(other, SignatureInventory):
+            return NotImplemented
+        return self._te == other._te and self._er == other._er
+
     # ------------------------------------------------------------------
     # Observation intake
 

@@ -20,15 +20,16 @@ The subsystem has four legs:
 * :mod:`repro.serve.server` — the asyncio :class:`CampaignServer`
   (admission control, drain) and the thread-backed in-process
   :class:`ServeClient` used by tests, the ``repro serve`` CLI, and
-  ``tools/serve_soak.py``.
+  ``tools/soak.py serve``.
 
 Determinism contract: a campaign executed through the server (always
-``workers=1``) is byte-identical to the standalone orchestrator —
-traces, pings, revelations, *and* measurement counters.  The
-scheduler only decides *when* a tenant's next batch enters the
-simulator, never what is probed; per-tenant engines keep every cache
-and counter private; and ``serve.*`` counters live in the server's
-own registry, in the execution-prefixed namespace.
+``workers=1``) is byte-identical to the standalone orchestrator — the
+whole ``CampaignResult`` (``==``, inventory and RTLA state included)
+*and* the measurement counters.  The scheduler only decides *when* a
+tenant's next batch enters the simulator, never what is probed;
+per-tenant engines keep every cache and counter private; and
+``serve.*`` counters live in the server's own registry, in the
+execution-prefixed namespace.
 """
 
 from repro.serve.registry import (

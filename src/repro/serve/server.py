@@ -15,7 +15,7 @@ before any resources are committed.
 Shutdown is a **graceful drain**: :meth:`CampaignServer.drain` stops
 admission, optionally cancels still-queued sessions, lets active
 campaigns run to completion, and resolves every waiter — the
-behaviour ``tools/serve_soak.py`` wires to SIGTERM.
+behaviour ``tools/soak.py serve`` wires to SIGTERM.
 
 :class:`ServeClient` is the thin in-process client: it runs the
 server's event loop on a background thread and exposes synchronous

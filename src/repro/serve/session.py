@@ -16,8 +16,8 @@ the service and the backend.  Isolation plus an unmodified
 orchestrator is the whole determinism argument: the served run
 executes exactly the standalone code path, so
 :func:`run_standalone` (the private-internet twin used by tests and
-``tools/serve_soak.py --verify-standalone``) produces byte-identical
-results, measurement counters included.
+``tools/soak.py serve``) produces an equal ``CampaignResult``,
+measurement counters included.
 
 Streaming: each session's structured events (phase starts, probes,
 revelation verdicts, the final ``campaign.metrics`` record) are
@@ -291,7 +291,7 @@ def run_standalone(spec: TenantSpec):
     builds the same measurement stack a session builds minus the
     scheduler turnstile, and runs the same campaign.  Returns
     ``(result, metrics_registry)``; tests and the soak harness assert
-    the served twin is byte-identical, measurement counters included.
+    the served result ``==`` this one, measurement counters included.
     """
     internet = render_internet(spec.topology)
     obs = Obs(MetricsRegistry(), EventLog())

@@ -9,6 +9,8 @@ keeps the partial revelation, marks it incomplete, and resumes to the
 full result.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.brpr import backward_recursive_revelation
@@ -19,24 +21,14 @@ from repro.faults import FAULT_PROFILES
 from repro.measure.service import BudgetExceeded
 from repro.obs import measurement_counters
 from repro.serve.registry import TopologySpec
-from repro.store import RESUME_EXEMPT_COUNTERS
 from repro.synth.gns3 import build_gns3
 
-#: Small-but-complete campaign (mirrors ``tools/chaos_soak.py``):
+#: Small-but-complete campaign (mirrors ``tools/soak.py campaign``):
 #: every phase runs and revelations happen under every profile.
 TOPOLOGY = TopologySpec(
     scale=0.4, seed=11, vantage_points=3, stubs_per_transit=2
 )
 POLICY = dict(max_retries=1, breaker_threshold=3)
-
-RESULT_FIELDS = (
-    "traces",
-    "pings",
-    "pairs",
-    "revelations",
-    "probes_sent",
-    "revelation_probes",
-)
 
 
 def _build(profile, probe_budget=None, checkpoint_dir=None,
@@ -53,22 +45,11 @@ def _build(profile, probe_budget=None, checkpoint_dir=None,
     )
 
 
-def _counters(context):
-    counters = dict(
-        measurement_counters(
-            context.campaign.obs.metrics.counters_snapshot()
-        )
+def _measured(context):
+    """The campaign's measurement counters, in full."""
+    return measurement_counters(
+        context.campaign.obs.metrics.counters_snapshot()
     )
-    for name in RESUME_EXEMPT_COUNTERS:
-        counters.pop(name, None)
-    return counters
-
-
-def _assert_results_equal(left, right):
-    for name in RESULT_FIELDS:
-        assert getattr(left, name) == getattr(right, name), name
-    assert left.quarantine == right.quarantine
-    assert left.data_quality == right.data_quality
 
 
 class TestEveryProfileDegradesGracefully:
@@ -96,8 +77,17 @@ class TestZeroFaultTransparency:
     def test_none_profile_equals_clean_campaign(self):
         clean = _build(None)
         wrapped = _build("none")
-        _assert_results_equal(wrapped.result, clean.result)
-        assert _counters(wrapped) == _counters(clean)
+        assert wrapped.result == clean.result
+        assert _measured(wrapped) == _measured(clean)
+
+
+class TestResultIdentity:
+    def test_other_seed_is_another_campaign(self):
+        seed11 = _build(None).result
+        seed12 = CampaignContext(
+            ContextConfig(topology=replace(TOPOLOGY, seed=12), **POLICY)
+        ).result
+        assert seed12 != seed11
 
 
 class TestFaultyResume:
@@ -118,8 +108,8 @@ class TestFaultyResume:
             profile, checkpoint_dir=warehouse, resume=True
         )
         assert not resumed.result.partial
-        _assert_results_equal(resumed.result, baseline.result)
-        assert _counters(resumed) == _counters(baseline)
+        assert resumed.result == baseline.result
+        assert _measured(resumed) == _measured(baseline)
 
     def test_hostile_resume_from_early_interrupt(self, tmp_path):
         # A 100-probe budget dies early in the trace phase (the full
@@ -135,8 +125,8 @@ class TestFaultyResume:
             "hostile", checkpoint_dir=warehouse, resume=True
         )
         assert not resumed.result.partial
-        _assert_results_equal(resumed.result, baseline.result)
-        assert _counters(resumed) == _counters(baseline)
+        assert resumed.result == baseline.result
+        assert _measured(resumed) == _measured(baseline)
 
 
 class TestBudgetMidRevelation:
@@ -175,7 +165,8 @@ class TestBudgetMidRevelation:
             revelation.complete
             for revelation in resumed.result.revelations.values()
         )
-        _assert_results_equal(resumed.result, baseline.result)
+        assert resumed.result == baseline.result
+        assert _measured(resumed) == _measured(baseline)
 
 
 class TestScopedBudgetExhaustion:

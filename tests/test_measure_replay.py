@@ -84,17 +84,7 @@ class TestReplayDeterminism:
         prober = Prober(ReplayBackend(path), obs=Obs())
         campaign = _campaign(prober, internet)
         replayed = campaign.run(internet.campaign_targets())
-        assert replayed.traces == golden.traces
-        assert replayed.pings == golden.pings
-        assert [
-            (p.vp, p.ingress, p.egress, p.asn) for p in replayed.pairs
-        ] == [
-            (p.vp, p.ingress, p.egress, p.asn) for p in golden.pairs
-        ]
-        assert replayed.revelations == golden.revelations
-        assert replayed.probes_sent == golden.probes_sent
-        assert replayed.revelation_probes == golden.revelation_probes
-        assert replayed.partial == golden.partial
+        assert replayed == golden
 
     def test_replay_reproduces_measurement_counters(self, recorded):
         path, _, golden_counters = recorded

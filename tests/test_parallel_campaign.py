@@ -41,19 +41,12 @@ def serial_and_parallel():
 class TestParallelEqualsSerial:
     def test_measurements_bit_identical(self, serial_and_parallel):
         serial, parallel = serial_and_parallel
-        assert serial.traces == parallel.traces
-        assert serial.pings == parallel.pings
-        assert serial.pairs == parallel.pairs
-        assert serial.revelations == parallel.revelations
-        assert serial.probes_sent == parallel.probes_sent
-        assert serial.revelation_probes == parallel.revelation_probes
+        assert serial == parallel
 
     def test_analyzer_state_identical(self, serial_and_parallel):
         serial, parallel = serial_and_parallel
-        assert serial.inventory._te == parallel.inventory._te
-        assert serial.inventory._er == parallel.inventory._er
-        assert serial.rtla._te_ttl == parallel.rtla._te_ttl
-        assert serial.rtla._er_ttl == parallel.rtla._er_ttl
+        assert serial.inventory == parallel.inventory
+        assert serial.rtla == parallel.rtla
 
     def test_perf_stats_populated(self, serial_and_parallel):
         serial, parallel = serial_and_parallel

@@ -39,18 +39,6 @@ def small_spec(tenant, **overrides):
     return TenantSpec(tenant=tenant, **overrides)
 
 
-def fingerprint(result, counters):
-    return (
-        result.traces,
-        result.pings,
-        result.pairs,
-        result.revelations,
-        result.probes_sent,
-        result.partial,
-        measurement_counters(counters),
-    )
-
-
 class TestByteIdentity:
     def test_served_equals_standalone_counters_included(self):
         spec = small_spec("ident")
@@ -58,14 +46,15 @@ class TestByteIdentity:
         try:
             handle = client.submit(spec)
             served = handle.wait(timeout=300)
-            served_print = fingerprint(
-                served, handle.session.metrics.counters_snapshot()
+            served_counters = measurement_counters(
+                handle.session.metrics.counters_snapshot()
             )
         finally:
             client.close()
         expected, metrics = run_standalone(spec)
-        assert served_print == fingerprint(
-            expected, metrics.counters_snapshot()
+        assert served == expected
+        assert served_counters == measurement_counters(
+            metrics.counters_snapshot()
         )
 
     def test_faulty_spec_still_identical(self):
@@ -76,14 +65,15 @@ class TestByteIdentity:
         try:
             handle = client.submit(spec)
             served = handle.wait(timeout=300)
-            served_print = fingerprint(
-                served, handle.session.metrics.counters_snapshot()
+            served_counters = measurement_counters(
+                handle.session.metrics.counters_snapshot()
             )
         finally:
             client.close()
         expected, metrics = run_standalone(spec)
-        assert served_print == fingerprint(
-            expected, metrics.counters_snapshot()
+        assert served == expected
+        assert served_counters == measurement_counters(
+            metrics.counters_snapshot()
         )
 
 

@@ -10,6 +10,7 @@ from repro.core.signatures import (
     infer_initial_ttl,
     return_path_length,
 )
+from repro.obs import Obs
 from repro.probing.prober import PingResult, Trace, TraceHop
 
 
@@ -89,6 +90,30 @@ class TestSignatureInventory:
         inventory.observe_echo_reply(2, 60)
         assert inventory.brand_shares([1]) == {"cisco": 1.0}
         assert inventory.brand_shares([]) == {}
+
+    @staticmethod
+    def _fed(observations):
+        inventory = SignatureInventory()
+        for kind, address, reply_ttl in observations:
+            if kind == "te":
+                inventory.observe_time_exceeded(address, reply_ttl)
+            else:
+                inventory.observe_echo_reply(address, reply_ttl)
+        return inventory
+
+    def test_equal_when_fed_the_same_observations(self):
+        observations = [("te", 1, 240), ("te", 1, 250), ("er", 1, 60)]
+        assert self._fed(observations) == self._fed(observations)
+        assert self._fed([]) == SignatureInventory()
+
+    def test_extra_or_reordered_observation_breaks_equality(self):
+        observations = [("te", 1, 240), ("te", 1, 250), ("er", 1, 60)]
+        baseline = self._fed(observations)
+        assert baseline != self._fed(observations + [("er", 2, 60)])
+        assert baseline != self._fed(
+            [observations[1], observations[0], observations[2]]
+        )
+        assert baseline != object()
 
 
 def make_hop(ttl, address, reply_ttl, kind="time-exceeded"):
@@ -226,3 +251,13 @@ class TestRtla:
         assert analyzer.median_tunnel_length(asn_of=asn_of, asn=100) == 3
         assert analyzer.median_tunnel_length(asn_of=asn_of, asn=200) == 1
         assert analyzer.median_tunnel_length(asn_of=asn_of, asn=300) is None
+
+    def test_equality_ignores_the_obs_sink(self):
+        left = RtlaAnalyzer(obs=Obs())
+        right = RtlaAnalyzer(obs=Obs())
+        self._feed(left, "vp1", 7, te=250, er=62)
+        self._feed(right, "vp1", 7, te=250, er=62)
+        assert left.obs is not right.obs
+        assert left == right
+        self._feed(right, "vp2", 7, te=251, er=62)
+        assert left != right

@@ -5,9 +5,8 @@ The warehouse contract (``repro.store``) is that a campaign killed at
 resumes to exactly the result an uninterrupted run produces, including
 the measurement-plane counters.  These tests interrupt the seeded
 campaign via probe budgets chosen to land in each phase, resume, and
-compare field-by-field (the result holds analyzers without ``__eq__``,
-so whole-object equality is meaningless — same idiom as
-``test_parallel_campaign.py``).
+compare whole results (``CampaignResult ==``, inventory and RTLA
+state included) plus the measurement counters in full.
 """
 
 import json
@@ -56,28 +55,9 @@ def _build(budget=None, workers=1):
     return internet, campaign
 
 
-def _counters(campaign):
-    counters = dict(
-        measurement_counters(campaign.obs.metrics.counters_snapshot())
-    )
-    for name in RESUME_EXEMPT_COUNTERS:
-        counters.pop(name, None)
-    return counters
-
-
-def _assert_results_equal(resumed, baseline):
-    assert resumed.traces == baseline.traces
-    assert resumed.pings == baseline.pings
-    assert resumed.pairs == baseline.pairs
-    assert resumed.revelations == baseline.revelations
-    assert resumed.probes_sent == baseline.probes_sent
-    assert resumed.revelation_probes == baseline.revelation_probes
-    assert resumed.inventory._te == baseline.inventory._te
-    assert resumed.inventory._er == baseline.inventory._er
-    assert resumed.rtla._te_ttl == baseline.rtla._te_ttl
-    assert resumed.rtla._er_ttl == baseline.rtla._er_ttl
-    assert not resumed.partial
-    assert resumed.stop_reason is None
+def _measured(campaign):
+    """The campaign's measurement counters, in full."""
+    return measurement_counters(campaign.obs.metrics.counters_snapshot())
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +66,7 @@ def baseline():
     _, campaign = _build()
     internet, campaign = _build()
     result = campaign.run(internet.campaign_targets())
-    return result, _counters(campaign)
+    return result, _measured(campaign)
 
 
 def _interrupt_and_resume(tmp_path, budget, resume_workers=1):
@@ -114,16 +94,16 @@ class TestResumeBitIdentical:
         _, resumed, campaign = _interrupt_and_resume(
             tmp_path, BUDGETS[phase]
         )
-        _assert_results_equal(resumed, expected)
-        assert _counters(campaign) == expected_counters
+        assert resumed == expected
+        assert _measured(campaign) == expected_counters
 
     def test_resume_with_workers(self, tmp_path, baseline):
         expected, expected_counters = baseline
         _, resumed, campaign = _interrupt_and_resume(
             tmp_path, BUDGETS["ping"], resume_workers=2
         )
-        _assert_results_equal(resumed, expected)
-        assert _counters(campaign) == expected_counters
+        assert resumed == expected
+        assert _measured(campaign) == expected_counters
 
     def test_double_interruption(self, tmp_path, baseline):
         expected, expected_counters = baseline
@@ -147,13 +127,13 @@ class TestResumeBitIdentical:
                 str(tmp_path), TOPOLOGY, resume=True
             ),
         )
-        _assert_results_equal(resumed, expected)
-        assert _counters(campaign) == expected_counters
+        assert resumed == expected
+        assert _measured(campaign) == expected_counters
 
     def test_complete_snapshot_resumes_without_probing(
         self, tmp_path, baseline
     ):
-        expected, _ = baseline
+        expected, expected_counters = baseline
         internet, campaign = _build()
         campaign.run(
             internet.campaign_targets(),
@@ -166,7 +146,8 @@ class TestResumeBitIdentical:
                 str(tmp_path), TOPOLOGY, resume=True
             ),
         )
-        _assert_results_equal(resumed, expected)
+        assert resumed == expected
+        assert _measured(campaign) == expected_counters
         # Everything was replayed from the warehouse: the simulator
         # never forwarded a packet in the resumed leg.
         assert resumed.perf.packets_simulated == 0
@@ -194,7 +175,7 @@ class TestCrashSafety:
         self, tmp_path, baseline
     ):
         """A torn write (half a JSON line) must not poison the store."""
-        expected, _ = baseline
+        expected, expected_counters = baseline
         internet, campaign = _build(budget=BUDGETS["ping"])
         campaign.run(
             internet.campaign_targets(),
@@ -213,7 +194,8 @@ class TestCrashSafety:
                 str(tmp_path), TOPOLOGY, resume=True
             ),
         )
-        _assert_results_equal(resumed, expected)
+        assert resumed == expected
+        assert _measured(campaign) == expected_counters
 
     def test_truncated_earlier_phase_discards_later_records(
         self, tmp_path, baseline
@@ -225,7 +207,7 @@ class TestCrashSafety:
         ping records were measured against state we no longer have,
         so resume must drop them and re-measure.
         """
-        expected, _ = baseline
+        expected, expected_counters = baseline
         internet, campaign = _build(budget=BUDGETS["ping"])
         campaign.run(
             internet.campaign_targets(),
@@ -247,7 +229,8 @@ class TestCrashSafety:
                 str(tmp_path), TOPOLOGY, resume=True
             ),
         )
-        _assert_results_equal(resumed, expected)
+        assert resumed == expected
+        assert _measured(campaign) == expected_counters
 
     def test_resume_missing_snapshot_raises(self, tmp_path):
         internet, campaign = _build()

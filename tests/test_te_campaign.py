@@ -24,7 +24,6 @@ from repro.measure.backend import ProbeRequest
 from repro.obs import measurement_counters
 from repro.probing.prober import Prober
 from repro.serve.registry import TopologySpec
-from repro.store import RESUME_EXEMPT_COUNTERS
 from repro.synth.internet import InternetConfig, build_internet
 from repro.synth.profiles import paper_profiles
 
@@ -218,24 +217,11 @@ def _context(te_tunnels_per_transit=2, **overrides):
     return CampaignContext(ContextConfig(topology=topology, **overrides))
 
 
-def _counters(context):
-    counters = dict(
-        measurement_counters(
-            context.campaign.obs.metrics.counters_snapshot()
-        )
+def _measured(context):
+    """The campaign's measurement counters, in full."""
+    return measurement_counters(
+        context.campaign.obs.metrics.counters_snapshot()
     )
-    for name in RESUME_EXEMPT_COUNTERS:
-        counters.pop(name, None)
-    return counters
-
-
-def _assert_results_equal(left, right):
-    for name in (
-        "traces", "pings", "pairs", "revelations",
-        "probes_sent", "revelation_probes",
-    ):
-        assert getattr(left, name) == getattr(right, name), name
-    assert left.data_quality == right.data_quality
 
 
 class TestMixedCampaigns:
@@ -250,9 +236,8 @@ class TestMixedCampaigns:
                 ),
             ).run(internet.campaign_targets())
 
-        _assert_results_equal(
-            run(te_internet()),
-            run(te_internet(trajectory_cache=False)),
+        assert run(te_internet()) == run(
+            te_internet(trajectory_cache=False)
         )
 
     def test_chaos_flap_campaign_completes_with_te(self):
@@ -274,8 +259,8 @@ class TestMixedCampaigns:
         assert interrupted.result.partial
         resumed = _context(checkpoint_dir=warehouse, resume=True)
         assert not resumed.result.partial
-        _assert_results_equal(resumed.result, baseline.result)
-        assert _counters(resumed) == _counters(baseline)
+        assert resumed.result == baseline.result
+        assert _measured(resumed) == _measured(baseline)
 
     def test_te_keys_the_snapshot(self, tmp_path):
         """An LDP-only resume must not land in a TE snapshot."""

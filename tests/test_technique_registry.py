@@ -8,6 +8,8 @@ report enumerate the registry instead of hardcoded names; and the
 registry rejects unknown or non-revealing techniques up front.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign.degrade import assess_data_quality
@@ -22,22 +24,14 @@ from repro.core.technique import (
     default_techniques,
 )
 from repro.experiments.common import CampaignContext, ContextConfig
-from repro.serve.registry import TopologySpec
+from repro.obs import measurement_counters
+from repro.serve.registry import TopologySpec, default_registry
 
 BASE = TopologySpec(
     scale=0.4,
     seed=11,
     vantage_points=3,
     stubs_per_transit=2,
-)
-
-RESULT_FIELDS = (
-    "traces",
-    "pings",
-    "pairs",
-    "revelations",
-    "probes_sent",
-    "revelation_probes",
 )
 
 
@@ -210,30 +204,35 @@ class TestLegacyBitIdentity:
     def test_custom_registry_without_tnt_changes_nothing_measured(self):
         from repro.campaign.orchestrator import Campaign, CampaignConfig
 
-        baseline = CampaignContext(ContextConfig(topology=BASE))
+        def run(techniques):
+            internet = default_registry().attach(BASE)
+            campaign = Campaign(
+                internet.prober,
+                internet.vps,
+                internet.asn_of_address,
+                CampaignConfig(
+                    suspicious_asns=tuple(internet.transit_asns)
+                ),
+                techniques=techniques,
+            )
+            result = campaign.run(internet.campaign_targets())
+            counters = campaign.obs.metrics.counters_snapshot()
+            return result, measurement_counters(counters)
+
+        baseline = CampaignContext(ContextConfig(topology=BASE)).result
         legacy = TechniqueRegistry()
         for technique in default_techniques():
             if technique.name != "tnt":
                 legacy.register(technique)
-        internet = CampaignContext(ContextConfig(topology=BASE)).internet
-        campaign = Campaign(
-            internet.prober,
-            internet.vps,
-            internet.asn_of_address,
-            CampaignConfig(
-                suspicious_asns=tuple(internet.transit_asns)
-            ),
-            techniques=legacy,
-        )
-        result = campaign.run(internet.campaign_targets())
-        for name in RESULT_FIELDS:
-            assert getattr(result, name) == getattr(
-                baseline.result, name
-            ), name
+        result, counters = run(legacy)
+        assert counters == run(default_techniques())[1]
         # Only the grading differs: no tnt entry to score.
         assert set(result.data_quality["techniques"]) == {
             "frpla", "rtla", "dpr", "brpr",
         }
+        assert replace(
+            result, data_quality=baseline.data_quality
+        ) == baseline
 
 
 class TestCampaignTechniqueDispatch:
