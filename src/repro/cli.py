@@ -21,6 +21,8 @@
 * ``repro fleet`` — a supervised fleet of monitor chains over one
   shared render (copy-on-churn twins, watchdogs, crash-identical
   restarts, churn-spike alerting, SIGTERM drain);
+* ``repro inspect {trace,store,timeline} PATH`` — operator digests of
+  a run's artefacts (event trace, warehouse, monitor timeline);
 * ``repro list`` — available experiment identifiers.
 
 ``repro campaign --checkpoint DIR`` persists every completed probe
@@ -465,6 +467,39 @@ def _build_parser() -> argparse.ArgumentParser:
         "document) as JSON",
     )
 
+    inspect = sub.add_parser(
+        "inspect",
+        help="digest a run's artefacts: an event trace, a warehouse, "
+        "or a monitor timeline",
+    )
+    views = inspect.add_subparsers(dest="view", required=True)
+    trace = views.add_parser(
+        "trace",
+        help="probes per phase, cache ratio, outcomes, faults, serve "
+        "tenants and spans of a --trace-out/--events-out JSONL",
+    )
+    trace.add_argument("path", help="JSONL event stream")
+    trace.add_argument(
+        "--faults", action="store_true",
+        help="print only the chaos events (fault.injected, "
+        "fault.flap, measure.quarantine) as JSONL",
+    )
+    views.add_parser(
+        "store",
+        help="per-snapshot records, checkpoint chain, probe spend, "
+        "run status and per-AS result of a warehouse",
+    ).add_argument(
+        "path", help="warehouse root or one snapshot directory"
+    )
+    views.add_parser(
+        "timeline",
+        help="epoch table and tunnel lifecycles of a monitor chain",
+    ).add_argument(
+        "path",
+        help="repro.monitor/1 document (repro monitor --json) or a "
+        "warehouse root",
+    )
+
     sub.add_parser("list", help="list experiment identifiers")
     return parser
 
@@ -493,7 +528,7 @@ def _event_trace(path: Optional[str]):
     """Mirror the global event log, all levels, to JSONL at ``path``
     for the block (a no-op without a path).  Registries appended to
     the yielded list close the trace with a ``campaign.metrics``
-    counters event (the digest ``trace_inspect.py`` reads)."""
+    counters event (the one ``repro inspect trace`` sums)."""
     registries: List[object] = []
     if not path:
         yield registries
@@ -823,7 +858,7 @@ def _parse_kill_plan(specs) -> Dict[int, int]:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import signal
     from repro.fleet import FleetConfig, FleetSupervisor
-    from repro.store import render_fleet
+    from repro.store import CampaignStore, render_fleet
 
     try:
         kill_plan = _parse_kill_plan(args.kill_chain)
@@ -840,7 +875,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    marker = Path(args.warehouse) / "fleet.json"
+    marker = CampaignStore(args.warehouse).fleet_path
     if marker.exists() and not args.resume:
         print(
             f"error: {marker} already exists — this warehouse "
@@ -991,6 +1026,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_inspect(args: argparse.Namespace) -> int:
+    from repro.inspect import store_view, timeline_view, trace_view
+
+    try:
+        if args.view == "trace":
+            return trace_view(args.path, faults=args.faults)
+        if args.view == "store":
+            return store_view(args.path)
+        return timeline_view(args.path)
+    except BrokenPipeError:  # e.g. piped into head
+        return 0
+
+
 def _cmd_list(_args: argparse.Namespace) -> int:
     for identifier in sorted(EXPERIMENTS):
         module = EXPERIMENTS[identifier]
@@ -1016,6 +1064,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "configs": _cmd_configs,
         "export": _cmd_export,
         "serve": _cmd_serve,
+        "inspect": _cmd_inspect,
         "list": _cmd_list,
     }
     return handlers[args.command](args)

@@ -49,7 +49,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Dict, List, Mapping, Optional
 
 from repro.monitor.loop import ChainSpec, MonitorConfig, MonitorLoop, chain_id
@@ -57,6 +56,7 @@ from repro.obs import Obs
 from repro.serve.registry import SnapshotRegistry
 from repro.store.fleet import fold_fleet
 from repro.store.layout import write_json
+from repro.store.warehouse import CampaignStore
 
 __all__ = [
     "ChainOutcome",
@@ -509,9 +509,7 @@ class FleetSupervisor:
             alert_factor=config.alert_factor,
             alert_min_events=config.alert_min_events,
         )
-        write_json(
-            Path(config.warehouse) / "fleet.json", document
-        )
+        write_json(CampaignStore(config.warehouse).fleet_path, document)
         # Backfill epoch coverage from the fold: a parked chain's
         # attempts may all have died, yet its completed epochs are
         # in the warehouse and should show in the ledger.

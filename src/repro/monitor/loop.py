@@ -412,10 +412,7 @@ class MonitorLoop:
     def _find_complete_epoch(self, key: str):
         """The epoch's snapshot when it already ran to completion."""
         snapshot = self.store.snapshot_for_key(key)
-        if not snapshot.exists():
-            return None
-        status = snapshot.run_status() or {}
-        if status.get("completed") and snapshot.result() is not None:
+        if snapshot.exists() and snapshot.completed():
             return snapshot
         return None
 
@@ -564,7 +561,7 @@ class MonitorLoop:
         self.obs.metrics.inc("monitor.epochs_skipped")
         status = snapshot.run_status() or {}
         result = snapshot.result() or {}
-        sidecar = self._read_sidecar(snapshot)
+        sidecar = snapshot.sidecar() or {}
         return EpochOutcome(
             epoch=epoch,
             key=key,
@@ -674,15 +671,4 @@ class MonitorLoop:
                 else []
             ),
         }
-        write_json(snapshot.path / "monitor.json", document)
-
-    @staticmethod
-    def _read_sidecar(snapshot) -> dict:
-        """The snapshot's ``monitor.json`` (empty dict when absent)."""
-        path = snapshot.path / "monitor.json"
-        if not path.exists():
-            return {}
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return {}
+        write_json(snapshot.sidecar_path, document)

@@ -14,7 +14,7 @@ Records are plain dicts::
 ``t`` is seconds since the log was created (monotonic clock — safe to
 subtract, never jumps).  Known kinds carry a schema (required field
 names) enforced at emit time, so downstream tooling such as
-``tools/trace_inspect.py`` can rely on the fields being present;
+``repro inspect trace`` can rely on the fields being present;
 unknown kinds pass through unvalidated (the log is extensible).
 
 Levels reuse the stdlib :mod:`logging` numeric values so one verbosity

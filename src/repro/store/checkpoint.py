@@ -49,13 +49,43 @@ from repro.store.layout import (
 )
 from repro.store.warehouse import CampaignStore, Snapshot
 
-__all__ = ["StoreMismatch", "CampaignCheckpoint", "result_document"]
+__all__ = [
+    "StoreMismatch",
+    "CampaignCheckpoint",
+    "checkpoint_prefix",
+    "result_document",
+]
 
 
 class StoreMismatch(ValueError):
     """The snapshot does not belong to this campaign (different
     topology seed, config, or target set — the content key differs),
     or its records contradict the campaign being resumed."""
+
+
+def checkpoint_prefix(
+    snapshot: Snapshot,
+) -> Dict[str, Tuple[List[dict], List[dict]]]:
+    """Per phase, ``(records, kept)``: the phase file's valid record
+    prefix and the part of it on the longest seq-contiguous pipeline
+    prefix.  A resume keeps exactly ``kept`` (and truncates the
+    rest); once one phase breaks the chain, later phases keep
+    nothing."""
+    prefix: Dict[str, Tuple[List[dict], List[dict]]] = {}
+    position = 0
+    broken = False
+    for phase in PHASES:
+        records = snapshot.records(phase)
+        kept: List[dict] = []
+        if not broken:
+            for record in records:
+                if record.get("seq") != position:
+                    break
+                kept.append(record)
+                position += 1
+            broken = len(kept) < len(records)
+        prefix[phase] = (records, kept)
+    return prefix
 
 
 def _ping_to_dict(ping) -> dict:
@@ -366,23 +396,14 @@ class CampaignCheckpoint:
     def _load_records(self) -> None:
         """Accept the longest seq-contiguous pipeline prefix and
         truncate whatever follows (crash-damaged tails)."""
-        position = 0
-        broken = False
-        for phase in PHASES:
-            records = self.snapshot.records(phase)
-            kept: List[dict] = []
-            if not broken:
-                for record in records:
-                    if record.get("seq") != position:
-                        break
-                    kept.append(record)
-                    position += 1
-                broken = len(kept) < len(records)
+        for phase, (records, kept) in checkpoint_prefix(
+            self.snapshot
+        ).items():
             if len(kept) < len(records):
                 self.snapshot.truncate_to(phase, kept)
             self._restored[phase] = kept
             self._counts[phase] = len(kept)
-        self._seq = position
+        self._seq = sum(self._counts.values())
 
     def _restore_state(self) -> None:
         """Reinstate service accounting, response cache, and

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.campaign.degrade import assess_fleet_quality
 from repro.store.layout import FLEET_SCHEMA
 from repro.store.timeline import chain_snapshots, fold_timeline
-from repro.store.warehouse import CampaignStore, Snapshot
+from repro.store.warehouse import CampaignStore
 
 __all__ = [
     "FLEET_SCHEMA",
@@ -51,19 +51,6 @@ _EMPTY_SUMMARY = {
     "resized": 0,
     "technique_changed": 0,
 }
-
-
-def _completed(snapshot: Snapshot) -> bool:
-    """Did this epoch snapshot run to completion?
-
-    Same criterion the monitor loop uses to skip an epoch on resume:
-    a completed run status *and* a written ``result.json`` (a crash
-    between the two leaves a resumable, not-yet-complete epoch).
-    """
-    status = snapshot.run_status() or {}
-    return bool(status.get("completed")) and (
-        snapshot.result() is not None
-    )
 
 
 def _transition_events(timeline: dict) -> List[dict]:
@@ -179,7 +166,7 @@ def fold_fleet(
         members = [
             snapshot
             for snapshot in grouped.get(chain, [])
-            if _completed(snapshot)
+            if snapshot.completed()
         ]
         timeline = fold_timeline(members) if members else None
         transitions = (

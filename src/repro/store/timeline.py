@@ -27,7 +27,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.store.layout import MONITOR_SCHEMA, read_json
+from repro.store.layout import MONITOR_SCHEMA
 from repro.store.warehouse import CampaignStore, Snapshot
 
 __all__ = [
@@ -92,7 +92,7 @@ def _epoch_head(snapshot: Snapshot) -> dict:
     stamp = _monitor_stamp(snapshot) or {}
     status = snapshot.run_status() or {}
     result = snapshot.result() or {}
-    sidecar = read_json(snapshot.path / "monitor.json") or {}
+    sidecar = snapshot.sidecar() or {}
     return {
         "epoch": int(stamp.get("epoch") or 0),
         "key": (snapshot.manifest() or {}).get("key"),
@@ -296,65 +296,96 @@ def fold_timeline(snapshots: Sequence[Snapshot]) -> dict:
 
 
 def render_timeline(document: dict) -> str:
-    """Human-readable rendering of a ``repro.monitor/1`` document."""
+    """A ``repro.monitor/1`` timeline document as readable text: the
+    epoch table with the chain's probe spend, the lifecycle summary,
+    every eventful pair's history and the per-AS churn rates."""
     chain = document.get("chain") or {}
     summary = document.get("summary") or {}
-    lines = [
-        f"monitor chain {chain.get('id')} — "
-        f"{chain.get('epochs')} epochs, "
-        f"churn profile {chain.get('churn_profile')!r}",
-        "",
-        "epoch  tunnels  pairs  carried  stale  probes  churn",
-    ]
+    lines = ["# Monitor timeline", ""]
+    lines.append(f"  chain          {chain.get('id')}")
+    lines.append(f"  churn profile  {chain.get('churn_profile')}")
+    lines.append(f"  epochs         {chain.get('epochs')}")
+    lines.append("")
+
+    lines.append("## Epochs")
+    lines.append(
+        "  epoch  tunnels  pairs  carried  stale  probes  churn"
+    )
+    total_probes = 0
+    total_carried = 0
     for head in document.get("epochs") or []:
+        probes = int(head.get("probes_sent") or 0)
+        carried = int(head.get("pairs_carried") or 0)
+        total_probes += probes
+        total_carried += carried
+        epoch = head.get("epoch")
         lines.append(
-            f"{head.get('epoch'):>5}"
+            f"  {epoch if epoch is not None else '?':>5}"
             f"  {head.get('tunnels') or 0:>7}"
             f"  {head.get('pairs') or 0:>5}"
-            f"  {head.get('pairs_carried') or 0:>7}"
+            f"  {carried:>7}"
             f"  {head.get('pairs_stale') or 0:>5}"
-            f"  {head.get('probes_sent') or 0:>6}"
+            f"  {probes:>6}"
             f"  {len(head.get('churn_events') or []):>5}"
+            + ("  [partial]" if head.get("partial") else "")
         )
-    lines.append("")
     lines.append(
-        f"pairs tracked: {summary.get('pairs_tracked', 0)} "
-        f"(stable {summary.get('stable_pairs', 0)}) — "
-        f"born {summary.get('born', 0)}, "
-        f"died {summary.get('died', 0)}, "
-        f"resized {summary.get('resized', 0)}, "
-        f"technique-changed {summary.get('technique_changed', 0)}"
+        f"  total campaign probes: {total_probes} "
+        f"({total_carried} pair revelations carried forward)"
     )
+    lines.append("")
+
+    lines.append("## Lifecycle summary")
+    lines.append(
+        f"  pairs tracked  {summary.get('pairs_tracked', 0)} "
+        f"(stable {summary.get('stable_pairs', 0)})"
+    )
+    for kind in ("born", "died", "resized", "technique_changed"):
+        lines.append(f"  {kind:<18s} {summary.get(kind, 0)}")
+    lines.append("")
+
     eventful = [
         entry
         for entry in document.get("pairs") or []
         if entry.get("events")
     ]
     if eventful:
-        lines.append("")
-        lines.append("lifecycles:")
+        lines.append("## Lifecycles")
         for entry in eventful:
             history = "; ".join(
-                f"e{event['epoch']} {event['event']}"
-                + (
-                    f" {event.get('from')}->{event.get('to')}"
-                    if event["event"] == "resized"
-                    else ""
-                )
-                for event in entry["events"]
+                _describe_event(event) for event in entry["events"]
             )
             lines.append(
-                f"  {entry['ingress']}->{entry['egress']} "
+                f"  {entry.get('ingress')}->{entry.get('egress')} "
                 f"(AS{entry.get('asn')}): {history}"
             )
+        lines.append("")
+
     per_as = document.get("per_as") or []
     if per_as:
-        lines.append("")
-        lines.append("per-AS churn rate (lifecycle events / epoch):")
-        for row in per_as:
+        lines.append("## Per-AS churn rate (events / epoch)")
+        for row in sorted(
+            per_as,
+            key=lambda row: (-row.get("churn_rate", 0), row["asn"]),
+        ):
             lines.append(
-                f"  AS{row['asn']}: {row['churn_rate']:.2f} "
-                f"({row['lifecycle_events']} events over "
-                f"{row['pairs_seen']} pairs)"
+                f"  AS{row['asn']:<6} rate "
+                f"{row.get('churn_rate', 0):>6.2f}  "
+                f"({row.get('lifecycle_events', 0)} events over "
+                f"{row.get('pairs_seen', 0)} pairs)"
             )
+        lines.append("")
     return "\n".join(lines)
+
+
+def _describe_event(event: dict) -> str:
+    """One lifecycle event as compact text (``e3 resized 4->6``)."""
+    kind = event.get("event")
+    text = f"e{event.get('epoch')} {kind}"
+    if kind == "resized":
+        text += f" {event.get('from')}->{event.get('to')}"
+    elif kind == "technique-changed":
+        before = "/".join(str(part) for part in event.get("from") or [])
+        after = "/".join(str(part) for part in event.get("to") or [])
+        text += f" {before}->{after}"
+    return text

@@ -3,16 +3,18 @@
 :class:`CampaignStore` manages a warehouse root directory holding one
 snapshot per campaign key; :class:`Snapshot` wraps a single snapshot
 directory and owns its manifest, phase record files, and summary
-documents.  Both are deliberately dumb about campaign semantics — the
-checkpoint protocol lives in :mod:`repro.store.checkpoint` and the
-analytics in :mod:`repro.store.diff`.
+documents, a monitor epoch's ``monitor.json`` sidecar included; the
+store root owns a fleet run's ``fleet.json``.  Every warehouse file is
+named here once.  Both are deliberately dumb about campaign semantics
+— the checkpoint protocol lives in :mod:`repro.store.checkpoint` and
+the analytics in :mod:`repro.store.diff`.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.store.layout import (
     PHASES,
@@ -68,6 +70,11 @@ class Snapshot:
         """``result.json``: the diffable result summary."""
         return self.path / "result.json"
 
+    @property
+    def sidecar_path(self) -> Path:
+        """``monitor.json``: a monitor epoch's sidecar document."""
+        return self.path / "monitor.json"
+
     # ------------------------------------------------------------------
     # Manifest
 
@@ -104,6 +111,18 @@ class Snapshot:
     def records(self, phase: str) -> List[dict]:
         """The phase's valid record prefix (hardened loader)."""
         return read_phase_records(self.phase_path(phase))
+
+    def phase_stats(self, phase: str) -> Tuple[int, int]:
+        """``(bytes, non-blank lines)`` of a phase file; ``(0, 0)``
+        when absent.  More lines than :meth:`records` returns means
+        a damaged tail that a resume drops."""
+        path = self.phase_path(phase)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError:
+            return 0, 0
+        lines = sum(1 for line in text.split("\n") if line.strip())
+        return path.stat().st_size, lines
 
     def append(self, phase: str, record: dict) -> int:
         """Append one record to a phase file; returns bytes written."""
@@ -150,12 +169,33 @@ class Snapshot:
         """The result summary; None when the run never finished."""
         return read_json(self.result_path)
 
+    def completed(self) -> bool:
+        """Did the run finish: a completed ``run.json`` *and* a
+        written ``result.json``?  A crash between the two (or
+        mid-run) leaves a resumable, not-yet-complete snapshot whose
+        records must not be read as results."""
+        status = self.run_status() or {}
+        return bool(status.get("completed")) and self.result() is not None
+
+    def sidecar(self) -> Optional[dict]:
+        """The monitor sidecar; None outside a monitor chain."""
+        return read_json(self.sidecar_path)
+
 
 class CampaignStore:
     """A warehouse root directory: one snapshot per campaign key."""
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
+
+    @property
+    def fleet_path(self) -> Path:
+        """``fleet.json``: a fleet run's ``repro.fleet/1`` aggregate."""
+        return self.root / "fleet.json"
+
+    def fleet(self) -> Optional[dict]:
+        """The fleet aggregate; None outside a fleet warehouse."""
+        return read_json(self.fleet_path)
 
     def snapshot_for_key(self, key: str) -> Snapshot:
         """The snapshot directory this key maps to (may not exist)."""

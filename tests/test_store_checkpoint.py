@@ -15,11 +15,13 @@ import os
 import pytest
 
 from repro.campaign.orchestrator import Campaign, CampaignConfig
+from repro.cli import main
 from repro.obs import measurement_counters
 from repro.store import (
     IDENTITY_EXCLUDED_FIELDS,
     RESUME_EXEMPT_COUNTERS,
     CampaignCheckpoint,
+    CampaignStore,
     Snapshot,
     StoreMismatch,
     campaign_key,
@@ -345,30 +347,19 @@ class TestStopSummary:
 
 
 class TestStoreInspect:
-    """The operator tool must digest real and damaged snapshots."""
+    """The store view must digest real and damaged snapshots."""
 
     def test_inspect_renders_snapshot(self, tmp_path):
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "store_inspect",
-            os.path.join(
-                os.path.dirname(os.path.dirname(__file__)),
-                "tools",
-                "store_inspect.py",
-            ),
-        )
-        inspect = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(inspect)
+        from repro.inspect import render_snapshot, summarize_snapshot
 
         internet, campaign = _build(budget=BUDGETS["revelation_early"])
         campaign.run(
             internet.campaign_targets(),
             checkpoint=CampaignCheckpoint(str(tmp_path), TOPOLOGY),
         )
-        snapshots = inspect.find_snapshots(str(tmp_path))
+        snapshots = CampaignStore(tmp_path).snapshots()
         assert len(snapshots) == 1
-        summary = inspect.summarize_snapshot(snapshots[0])
+        summary = summarize_snapshot(snapshots[0])
         counts = {
             phase: stats["records"]
             for phase, stats in summary["phases"].items()
@@ -379,36 +370,24 @@ class TestStoreInspect:
         assert not any(
             stats["damaged"] for stats in summary["phases"].values()
         )
-        text = inspect.render(summary)
+        text = render_snapshot(summary)
         assert "Phase records" in text
         assert "Checkpointed progression" in text
-        # Damage the revelation tail: the tool flags it, no crash.
+        # Damage the revelation tail: the view flags it, no crash.
         with open(
-            os.path.join(snapshots[0], "phases", "revelation.jsonl"),
-            "a",
-            encoding="utf-8",
+            snapshots[0].phase_path("revelation"), "a", encoding="utf-8"
         ) as handle:
             handle.write("not json\n")
-        damaged = inspect.summarize_snapshot(snapshots[0])
+        damaged = summarize_snapshot(snapshots[0])
         assert damaged["phases"]["revelation"]["damaged"]
-        assert "damaged tail" in inspect.render(damaged)
+        assert "damaged tail" in render_snapshot(damaged)
 
     def test_inspect_exit_codes(self, tmp_path, capsys):
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "store_inspect_cli",
-            os.path.join(
-                os.path.dirname(os.path.dirname(__file__)),
-                "tools",
-                "store_inspect.py",
-            ),
-        )
-        inspect = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(inspect)
-        assert inspect.main(["store_inspect.py"]) == 2
-        assert inspect.main(
-            ["store_inspect.py", str(tmp_path / "nowhere")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["inspect", "store"])
+        assert excinfo.value.code == 2
+        assert main(
+            ["inspect", "store", str(tmp_path / "nowhere")]
         ) == 1
         capsys.readouterr()
 
