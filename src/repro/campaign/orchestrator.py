@@ -13,20 +13,6 @@ synthetic Internet:
 The result object carries raw traces, pings, revelations, and ready
 analyzers (signatures, FRPLA, RTLA) for the experiment code.
 
-With ``CampaignConfig.workers > 1`` each phase is preceded by a
-parallel *prewarm*: the (vp, destination) work items are sharded
-across forked worker processes that execute the same probing code,
-discard the measurement results, and ship back only the forwarding
-engine's memoised trajectories (see
-:mod:`repro.dataplane.trajectory`).  The parent installs those and
-then replays the phase serially against a warm cache — so the
-measurement results are produced by exactly the same serial code path
-and are bit-identical to a ``workers=1`` run, while the expensive
-symbolic walks happen concurrently.  Flow identifiers are a pure
-function of (vp, destination) (see ``Prober._flow_for``), which is
-what makes worker-built trajectories line up with the parent's cache
-keys.
-
 :meth:`Campaign.run` optionally takes a *checkpoint* (see
 :mod:`repro.store`): every completed traceroute, fingerprint ping,
 and pair revelation is persisted as it finishes, and a resumed run
@@ -38,7 +24,6 @@ uninterrupted run, measurement counters included.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import shlex
 import time
@@ -72,10 +57,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Campaign forked prewarm workers read their work context from here
-#: (set just before the fork, cleared right after).
-_WORKER_CAMPAIGN: Optional["Campaign"] = None
-
 #: Registry counters (under ``engine.``) snapshotted into
 #: :class:`PerfStats` as whole-run deltas.
 _ENGINE_COUNTERS = (
@@ -96,36 +77,6 @@ _QUALITY_COUNTERS = (
 )
 
 
-def _prewarm_worker(
-    tasks: List[tuple],
-) -> Tuple[Dict[tuple, dict], Dict[str, int]]:
-    """Run ``tasks`` in a forked worker.
-
-    Returns the trajectory wires the worker built plus its metrics
-    counter deltas (the fork inherited the parent's registry, so only
-    growth since the fork is shipped back).  Event sinks are detached
-    first: a forked worker must never write into the parent's trace
-    file.
-    """
-    campaign = _WORKER_CAMPAIGN
-    backend = campaign.prober.backend
-    campaign.obs.events.detach_all()
-    service = getattr(campaign.prober, "service", None)
-    if service is not None:
-        # Worker probes warm caches; they must not consume (or trip)
-        # the campaign's probe budgets, whose spend counters the fork
-        # inherited from the parent.
-        service.exempt_budgets()
-    base = campaign.obs.metrics.counters_snapshot()
-    known = backend.trajectory_snapshot()
-    for task in tasks:
-        campaign._execute_prewarm(task)
-    return (
-        backend.export_trajectories(known),
-        campaign.obs.metrics.counter_deltas(base),
-    )
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Campaign parameters."""
@@ -140,9 +91,6 @@ class CampaignConfig:
     #: Optional HDN address filter: when set, X and Y must be in it.
     hdn_addresses: Optional[frozenset] = None
     ping_discovered: bool = True
-    #: Worker processes for the parallel trajectory prewarm; 1 = fully
-    #: serial.  Results are bit-identical either way.
-    workers: int = 1
     #: Global probe budget for the whole campaign; None = unlimited.
     #: An exhausted budget stops the run cleanly with a partial result
     #: (``CampaignResult.partial``).
@@ -196,14 +144,12 @@ MetricsRegistry` (whole-run ``engine.*`` counter deltas, plus the
     per-phase attribution recorded by ``Campaign._phase``); the public
     field shape is stable so reports and older callers keep working.
     Wall-clock is recorded per pipeline phase; the engine counters are
-    deltas over the run (they include any parallel prewarm replay the
-    parent performed, so ``hit_rate`` directly shows how much of the
-    serial replay was served from the trajectory cache).
+    deltas over the run, so ``hit_rate`` shows how much of the run was
+    served from the trajectory cache.
     """
 
-    workers: int = 1  #: worker processes the campaign ran with
     #: Phase name ("trace", "ping", "extract", "revelation") to
-    #: wall-clock seconds spent in it (prewarm included).
+    #: wall-clock seconds spent in it.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Phase name to its engine counter deltas (currently
     #: ``trajectory_hits`` / ``trajectory_misses``) — the per-phase
@@ -281,8 +227,8 @@ class CampaignResult:
     #: from equality: a resumed result must equal its uninterrupted
     #: twin, which never had a checkpoint).
     checkpoint_dir: Optional[str] = field(default=None, compare=False)
-    #: Timings and cache counters; excluded from equality so parallel
-    #: and serial runs of the same campaign still compare equal.
+    #: Timings and cache counters; excluded from equality so two runs
+    #: of the same campaign compare equal however fast each ran.
     perf: PerfStats = field(default_factory=PerfStats, compare=False)
 
     # ------------------------------------------------------------------
@@ -428,11 +374,10 @@ class Campaign:
         uninterrupted run.
         """
         logger.info(
-            "campaign start: %d destinations, %d VPs, workers=%d",
-            len(destinations), len(self.vps), self.config.workers,
+            "campaign start: %d destinations, %d VPs",
+            len(destinations), len(self.vps),
         )
         result = CampaignResult()
-        result.perf.workers = max(1, self.config.workers)
         result.rtla.bind_obs(self.obs)
         metrics = self.obs.metrics
         metrics.inc("campaign.runs")
@@ -458,41 +403,18 @@ class Campaign:
         counters = self._engine_counters()
         with self.obs.tracer.span(
             "campaign.run", destinations=len(destinations),
-            workers=self.config.workers,
         ):
             try:
-                skip = self._restored(checkpoint, "trace")
                 with self._phase(result, "trace"):
-                    self._prewarm([
-                        ("trace", vp.name, dst)
-                        for vp, dst in self._team_assignment(
-                            destinations
-                        )
-                    ][skip:])
                     self.trace_phase(destinations, result, checkpoint)
                 if self.config.ping_discovered:
-                    skip = self._restored(checkpoint, "ping")
                     with self._phase(result, "ping"):
-                        self._prewarm([
-                            ("ping", vp_name, address)
-                            for vp_name, address in sorted(
-                                self._ping_pairs(result)
-                            )
-                        ][skip:])
                         self.ping_phase(result, checkpoint)
                 with self._phase(result, "extract"):
                     self.extract_pairs(result)
                     if checkpoint is not None:
                         checkpoint.record_pairs(result)
-                skip = self._restored(checkpoint, "revelation")
-                carried = frozenset(self.config.carried_pairs or ())
                 with self._phase(result, "revelation"):
-                    self._prewarm([
-                        ("reveal", pair.vp, pair.ingress, pair.egress)
-                        for index, pair in enumerate(result.pairs)
-                        if index >= skip
-                        and (pair.ingress, pair.egress) not in carried
-                    ])
                     self.revelation_phase(result, checkpoint)
             except BudgetExceeded as exc:
                 # A clean early stop: keep everything measured so far
@@ -936,80 +858,6 @@ class Campaign:
             result.revelation_probes += (
                 self.prober.probes_sent - before
             )
-
-    # ------------------------------------------------------------------
-    # Parallel prewarm
-
-    def _prewarm(self, tasks: List[tuple]) -> None:
-        """Shard ``tasks`` across worker processes to warm the cache.
-
-        Workers fork from the current process, execute the probing for
-        their shard (discarding the measurement results), and return
-        the trajectories their engines built; the parent installs them
-        so the serial phase replay mostly hits the cache.  A no-op for
-        ``workers <= 1``, an uncached engine, or when forking is
-        unavailable — the phase then simply runs serially cold.
-        """
-        workers = self.config.workers
-        backend = getattr(self.prober, "backend", None)
-        if (
-            workers <= 1
-            or not tasks
-            or backend is None
-            or not getattr(backend, "trajectory_cache", False)
-            or not hasattr(backend, "export_trajectories")
-        ):
-            return
-        shards = [tasks[i::workers] for i in range(workers)]
-        shards = [shard for shard in shards if shard]
-        global _WORKER_CAMPAIGN
-        _WORKER_CAMPAIGN = self
-        try:
-            context = multiprocessing.get_context("fork")
-            with context.Pool(len(shards)) as pool:
-                wire_sets = pool.map(_prewarm_worker, shards)
-        except (OSError, ValueError):
-            return
-        finally:
-            _WORKER_CAMPAIGN = None
-        metrics = self.obs.metrics
-        installed = 0
-        for wires, delta in wire_sets:
-            installed += len(wires)
-            backend.install_trajectories(wires)
-            # Worker-side counters land under ``prewarm.`` so they stay
-            # attributable (and out of the measurement namespace — see
-            # ``measurement_counters``).
-            metrics.merge_counters(delta, prefix="prewarm.")
-        metrics.inc("prewarm.rounds")
-        metrics.inc("prewarm.trajectories_installed", installed)
-        logger.debug(
-            "prewarm: %d tasks over %d workers, %d trajectories",
-            len(tasks), len(shards), installed,
-        )
-
-    def _execute_prewarm(self, task: tuple) -> None:
-        """Run one prewarm work item (inside a worker process)."""
-        kind = task[0]
-        vp = self._vp_by_name[task[1]]
-        if kind == "trace":
-            self.prober.traceroute(
-                vp, task[2], start_ttl=self.config.start_ttl
-            )
-        elif kind == "ping":
-            self.prober.ping(vp, task[2])
-        else:
-            revelation = reveal_tunnel(
-                self.prober,
-                vp,
-                ingress=task[2],
-                egress=task[3],
-                max_steps=self.config.max_revelation_steps,
-                start_ttl=self.config.start_ttl,
-            )
-            if self.config.ping_discovered:
-                for address in revelation.revealed:
-                    self.prober.ping(vp, address)
 
     @contextmanager
     def _phase(self, result: CampaignResult, phase: str):

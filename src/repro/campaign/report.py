@@ -24,14 +24,14 @@ __all__ = ["render_report", "render_perf_section"]
 def render_perf_section(result: CampaignResult) -> str:
     """Render the performance/observability section for ``result``.
 
-    Shows worker count, per-phase wall-clock *and* per-phase
-    trajectory-cache deltas (hits/misses attributed to each phase by
-    the metrics registry), plus the engine counters accumulated over
-    the whole run.
+    Shows per-phase wall-clock *and* per-phase trajectory-cache
+    deltas (hits/misses attributed to each phase by the metrics
+    registry), plus the engine counters accumulated over the whole
+    run.
     """
     perf = result.perf
     lines: List[str] = ["## Performance", ""]
-    rows: List[tuple] = [("workers", perf.workers)]
+    rows: List[tuple] = []
     for phase, seconds in perf.phase_seconds.items():
         cell = f"{seconds:.3f} s"
         counters = perf.phase_counters.get(phase)

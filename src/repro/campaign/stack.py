@@ -37,7 +37,6 @@ def campaign_for(
     spec,
     internet,
     prober,
-    workers: int = 1,
     revelation_technique: Optional[str] = None,
 ) -> Campaign:
     """The orchestrator a spec's policy fields map to."""
@@ -47,7 +46,6 @@ def campaign_for(
         internet.asn_of_address,
         CampaignConfig(
             suspicious_asns=tuple(internet.transit_asns),
-            workers=workers,
             probe_budget=spec.probe_budget,
             max_retries=spec.max_retries,
             breaker_threshold=spec.breaker_threshold,

@@ -65,7 +65,9 @@ from repro.experiments.common import ContextConfig, campaign_context
 from repro.serve.registry import TopologySpec
 from repro.synth.gns3 import SCENARIOS, build_gns3
 
-__all__ = ["EXPERIMENTS", "main"]
+__all__ = [
+    "EXPERIMENTS", "main", "non_negative", "positive", "positive_float",
+]
 
 #: Experiment id -> module with a ``run()`` returning ``.text``.
 EXPERIMENTS: Dict[str, object] = {
@@ -89,22 +91,41 @@ EXPERIMENTS: Dict[str, object] = {
 }
 
 
+def positive(text):
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def non_negative(text):
+    """argparse type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def positive_float(text):
+    """argparse type: a finite number above 0."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+    return value
+
+
 def _add_campaign_arguments(parser, fault_flags):
     """The ``campaign`` options (shared by its ``chaos`` alias)."""
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=positive_float, default=1.0)
     parser.add_argument("--seed", type=int, default=2017)
-    parser.add_argument("--vantage-points", type=int, default=8)
+    parser.add_argument("--vantage-points", type=positive, default=8)
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the parallel trajectory prewarm "
-        "(results are bit-identical to a serial run)",
-    )
-    parser.add_argument(
-        "--probe-budget", type=int, default=None, metavar="N",
+        "--probe-budget", type=positive, default=None, metavar="N",
         help="stop cleanly (partial result) after N probes",
     )
     parser.add_argument(
-        "--max-retries", type=int, default=0, metavar="N",
+        "--max-retries", type=non_negative, default=0, metavar="N",
         help="re-probe unresponsive (*) hops up to N times",
     )
     parser.add_argument(
@@ -117,7 +138,7 @@ def _add_campaign_arguments(parser, fault_flags):
         help="list shipped fault profiles and exit",
     )
     parser.add_argument(
-        "--breaker-threshold", type=int, default=0, metavar="N",
+        "--breaker-threshold", type=non_negative, default=0, metavar="N",
         help="consecutive ping losses before a target is parked "
         "until the end of the phase (0 disables the breaker)",
     )
@@ -179,14 +200,14 @@ def _add_chain_arguments(parser):
     """The chain options ``monitor`` and ``fleet`` share (the
     :class:`~repro.monitor.loop.ChainSpec` fields)."""
     parser.add_argument(
-        "--epochs", type=int, default=3, metavar="N",
+        "--epochs", type=positive, default=3, metavar="N",
         help="monitoring epochs to run (epoch 0 is the baseline "
         "full campaign)",
     )
-    parser.add_argument("--scale", type=float, default=0.3)
+    parser.add_argument("--scale", type=positive_float, default=0.3)
     parser.add_argument("--seed", type=int, default=2017)
-    parser.add_argument("--vantage-points", type=int, default=4)
-    parser.add_argument("--stubs-per-transit", type=int, default=3)
+    parser.add_argument("--vantage-points", type=positive, default=4)
+    parser.add_argument("--stubs-per-transit", type=positive, default=3)
     parser.add_argument(
         "--churn-profile", default="gentle", metavar="NAME",
         help="shipped churn profile applied between epochs "
@@ -203,7 +224,7 @@ def _add_chain_arguments(parser):
         "(flap profiles are refused — churn owns the topology)",
     )
     parser.add_argument(
-        "--probe-budget", type=int, default=None, metavar="N",
+        "--probe-budget", type=positive, default=None, metavar="N",
         help="per-epoch campaign probe budget per chain; exhausting "
         "it stops the chain with a resumable partial epoch",
     )
@@ -277,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "JSON (experiments without one fail with an error)",
     )
     experiment.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=positive_float, default=None,
         help="AS size multiplier for context-driven experiments "
         "(those whose run() takes a ContextConfig)",
     )
@@ -286,11 +307,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="topology seed for context-driven experiments",
     )
     experiment.add_argument(
-        "--vantage-points", type=int, default=None,
+        "--vantage-points", type=positive, default=None,
         help="vantage point count for context-driven experiments",
     )
     experiment.add_argument(
-        "--stubs-per-transit", type=int, default=None,
+        "--stubs-per-transit", type=positive, default=None,
         help="stub AS fan-out for context-driven experiments",
     )
 
@@ -361,20 +382,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "snapshots",
     )
     serve.add_argument(
-        "--tenants", type=int, default=8, metavar="N",
+        "--tenants", type=positive, default=8, metavar="N",
         help="tenant campaigns to submit",
     )
     serve.add_argument(
-        "--snapshots", type=int, default=2, metavar="M",
+        "--snapshots", type=positive, default=2, metavar="M",
         help="distinct topology seeds the tenants are spread over "
         "(each is rendered once and shared)",
     )
-    serve.add_argument("--scale", type=float, default=0.3)
+    serve.add_argument("--scale", type=positive_float, default=0.3)
     serve.add_argument("--seed", type=int, default=2017)
-    serve.add_argument("--vantage-points", type=int, default=3)
-    serve.add_argument("--stubs-per-transit", type=int, default=2)
+    serve.add_argument("--vantage-points", type=positive, default=3)
+    serve.add_argument("--stubs-per-transit", type=positive, default=2)
     serve.add_argument(
-        "--max-active", type=int, default=4,
+        "--max-active", type=positive, default=4,
         help="sessions running concurrently (each holds one worker "
         "thread; the rest queue)",
     )
@@ -384,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "tenants (default: equal)",
     )
     serve.add_argument(
-        "--probe-budget", type=int, default=None, metavar="N",
+        "--probe-budget", type=positive, default=None, metavar="N",
         help="per-tenant probe budget (clean partial result when hit)",
     )
     serve.add_argument(
@@ -394,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "campaign --list')",
     )
     serve.add_argument(
-        "--max-targets", type=int, default=None, metavar="N",
+        "--max-targets", type=positive, default=None, metavar="N",
         help="truncate each tenant's target list to N targets",
     )
     serve.add_argument(
@@ -581,7 +602,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                         seed=args.seed,
                         vantage_points=args.vantage_points,
                     ),
-                    workers=args.workers,
                     probe_budget=args.probe_budget,
                     max_retries=args.max_retries,
                     breaker_threshold=args.breaker_threshold or None,
@@ -954,12 +974,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import AdmissionError, ServeClient, TenantSpec
 
-    if args.tenants < 1 or args.snapshots < 1:
-        print(
-            "error: --tenants and --snapshots must be >= 1",
-            file=sys.stderr,
-        )
-        return 2
     weights = [1.0] * args.tenants
     if args.weights:
         try:

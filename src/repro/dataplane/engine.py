@@ -60,8 +60,6 @@ from repro.dataplane.trajectory import (
     SymbolicPacket,
     Trajectory,
     TrajectoryBuilder,
-    trajectory_from_wire,
-    trajectory_to_wire,
     ttl_eval,
 )
 from repro.mpls.config import PoppingMode
@@ -220,32 +218,6 @@ class ForwardingEngine:
             "hops_walked": self.hops_walked,
             "packets_simulated": self.packets_simulated,
         }
-
-    def export_trajectories(self, known=frozenset()) -> Dict[tuple, dict]:
-        """Wire-format snapshot of trajectories whose key is not in
-        ``known`` (used by parallel campaign workers to ship their
-        freshly built trajectories back to the parent process)."""
-        return {
-            key: trajectory_to_wire(trajectory)
-            for key, trajectory in self._trajectories.items()
-            if key not in known
-        }
-
-    def install_trajectories(self, wires: Dict[tuple, dict]) -> int:
-        """Install wire-format trajectories built in another process.
-
-        Existing keys are kept (first build wins); unresolvable wires
-        are skipped.  Returns how many trajectories were installed.
-        """
-        installed = 0
-        for key, wire in wires.items():
-            if key in self._trajectories:
-                continue
-            trajectory = trajectory_from_wire(wire, self.network)
-            if trajectory is not None:
-                self._trajectories[key] = trajectory
-                installed += 1
-        return installed
 
     # ------------------------------------------------------------------
     # Public API

@@ -30,10 +30,7 @@ Label values are never read during a walk, so the symbolic build must
 not allocate them either (LDP label allocation is pinned to first-use
 order by the golden tests).  Stack entries instead carry a
 :class:`BindingRef`: an index into the trajectory's ordered binding
-*sites*, forced lazily in walk order at evaluation time.  This also
-keeps label values out of trajectories, which is what lets worker
-processes ship them to the parent process without disturbing its
-allocation order.
+*sites*, forced lazily in walk order at evaluation time.
 
 Replies are not built here: the engine walks each one concretely, once
 per trajectory event.
@@ -53,8 +50,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryBuilder",
     "ttl_eval",
-    "trajectory_to_wire",
-    "trajectory_from_wire",
 ]
 
 #: Symbolic TTL of a freshly originated packet: ``value(T) = T``.
@@ -339,53 +334,3 @@ class TrajectoryBuilder:
             flow_id=packet.flow_id,
             kind=packet.kind,
         )
-
-
-# ----------------------------------------------------------------------
-# Wire format: ships trajectories between processes.  Router objects
-# become names; the ``reply_info`` memo and ``forced`` mark are
-# deliberately dropped — the receiving engine must recompute both so
-# its label-allocation order stays untouched.
-
-def trajectory_to_wire(trajectory: Trajectory) -> dict:
-    """Picklable, process-portable form of ``trajectory``."""
-    return {
-        "names": trajectory.names,
-        "sites": trajectory.sites,
-        "src": trajectory.src,
-        "dst": trajectory.dst,
-        "flow_id": trajectory.flow_id,
-        "kind": trajectory.kind,
-        "thresholds": trajectory.thresholds,
-        "events": [
-            (
-                event.threshold, event.reason, event.hop_index,
-                event.delay_ms, event.ip, event.stack, event.expired_fec,
-                event.expired_at_lh, event.bindings_used,
-            )
-            for event in trajectory.events
-        ],
-    }
-
-
-def trajectory_from_wire(wire: dict, network):
-    """Rebuild a :class:`Trajectory` shipped from another process.
-
-    ``network`` resolves router names; returns None when one fails to
-    resolve (the receiver then simply rebuilds on demand).
-    """
-    try:
-        routers = [network.router(name) for name in wire["names"]]
-    except KeyError:
-        return None
-    return Trajectory(
-        routers=routers,
-        names=list(wire["names"]),
-        events=[TrajectoryEvent(*fields) for fields in wire["events"]],
-        thresholds=list(wire["thresholds"]),
-        sites=list(wire["sites"]),
-        src=wire["src"],
-        dst=wire["dst"],
-        flow_id=wire["flow_id"],
-        kind=wire["kind"],
-    )

@@ -44,7 +44,6 @@ class ContextConfig:
     """
 
     topology: TopologySpec = TopologySpec()
-    workers: int = 1  #: campaign prewarm worker processes
     #: Global probe budget; None = unlimited (partial results when hit).
     probe_budget: Optional[int] = None
     max_retries: int = 0  #: per-probe retries on timeout
@@ -92,7 +91,7 @@ class CampaignContext:
             self.internet = render_internet(config.topology)
         else:
             # Render-once, attach-many: two contexts in one process
-            # that differ only in execution knobs (workers, budget,
+            # that differ only in execution knobs (budget,
             # record/replay) share one rendered topology instead of
             # silently paying ``internet_build`` twice for the same
             # content key.
@@ -102,7 +101,6 @@ class CampaignContext:
             config,
             self.internet,
             prober,
-            workers=config.workers,
             revelation_technique=config.revelation_technique,
         )
         checkpoint = checkpoint_for(

@@ -180,34 +180,6 @@ class FaultyBackend(ProbeBackend):
             self._fire_flap(position, action)
             self._flaps_fired += 1
 
-    # ------------------------------------------------------------------
-    # Trajectory-cache hooks (delegated; prewarm disabled under flaps)
-
-    @property
-    def trajectory_cache(self) -> bool:
-        """Whether the parallel prewarm may use this backend.
-
-        Reply-level faults never touch the engine, so worker-built
-        trajectories stay valid; flaps mutate the network mid-run and
-        would fire at shard-local clock positions inside forked
-        workers, so profiles with flaps opt out of prewarm entirely.
-        """
-        if self.profile.mutates_network:
-            return False
-        return bool(getattr(self.inner, "trajectory_cache", False))
-
-    def trajectory_snapshot(self):
-        """Delegate to the inner backend's trajectory snapshot."""
-        return self.inner.trajectory_snapshot()
-
-    def export_trajectories(self, known=frozenset()):
-        """Delegate trajectory export to the inner backend."""
-        return self.inner.export_trajectories(known)
-
-    def install_trajectories(self, wires) -> int:
-        """Delegate trajectory install to the inner backend."""
-        return self.inner.install_trajectories(wires)
-
     def add_invalidation_listener(self, listener) -> None:
         """Register ``listener`` on the inner backend's control
         plane (no-op for backends without invalidation hooks) — flap

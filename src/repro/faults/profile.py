@@ -152,8 +152,8 @@ class FaultProfile:
     @property
     def mutates_network(self) -> bool:
         """True when the profile fires flaps that change the simulated
-        network mid-run (disables the parallel prewarm — forked
-        workers would fire flaps at shard-local clock positions)."""
+        network mid-run (such a run needs a private, unfrozen
+        topology: no shared snapshot, no monitor churn model)."""
         return bool(self.flaps)
 
     # ------------------------------------------------------------------

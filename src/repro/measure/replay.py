@@ -84,9 +84,7 @@ class RecordingBackend(ProbeBackend):
         #: Observability bundle delegated from the inner backend.
         self.obs = getattr(inner, "obs", None)
         #: The inner backend's engine, when it wraps one — keeps
-        #: engine-level perf stats readable while recording.  The
-        #: trajectory prewarm hooks are deliberately NOT delegated:
-        #: forked prewarm workers must not write this log.
+        #: engine-level perf stats readable while recording.
         self.engine = getattr(inner, "engine", None)
         if isinstance(destination, str):
             self.path: str = destination
@@ -148,9 +146,9 @@ class RecordingBackend(ProbeBackend):
 class ReplayBackend(ProbeBackend):
     """Serves probes from a previously recorded probe log.
 
-    Purely a lookup table: no simulator, no prewarm hooks, no
-    observability of its own — the service layered on top supplies
-    policy and counters, exactly as it would over a live backend.
+    Purely a lookup table: no simulator, no observability of its
+    own — the service layered on top supplies policy and counters,
+    exactly as it would over a live backend.
     """
 
     name = "replay"

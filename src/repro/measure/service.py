@@ -13,8 +13,8 @@ backend — budgets count probes, deadlines count *simulated*
 measurement milliseconds (reply RTTs), and the cache is keyed on the
 request — so its ``measure.*`` counters belong to the measurement
 namespace of :func:`repro.obs.measurement_counters` and stay invariant
-across execution strategies (serial vs. parallel prewarm, live vs.
-replay).
+across execution strategies (live vs. replay, interrupted and resumed
+vs. uninterrupted).
 """
 
 from __future__ import annotations
@@ -164,7 +164,6 @@ class ProbeService:
         #: Quarantined-reply records (insertion order), each a
         #: JSON-ready dict with the probe identity and the reason.
         self._quarantine: List[Dict[str, object]] = []
-        self._unmetered = False
         # Backends wrapping a simulator invalidate cached replies when
         # the control plane changes under them.
         register = getattr(backend, "add_invalidation_listener", None)
@@ -178,15 +177,6 @@ class ProbeService:
         """Replace policy fields in place; returns the new policy."""
         self.policy = replace(self.policy, **overrides)
         return self.policy
-
-    def exempt_budgets(self) -> None:
-        """Stop enforcing budgets on this service instance.
-
-        Used by forked prewarm workers: they inherit the parent's
-        spend counters but their probes warm caches rather than
-        consume the campaign's budget.
-        """
-        self._unmetered = True
 
     @contextmanager
     def scope(self, name: str) -> Iterator[None]:
@@ -478,8 +468,6 @@ class ProbeService:
     def _charge_budget(self, count: int = 1) -> None:
         """Raise :class:`BudgetExceeded` if ``count`` more probes
         would overrun the global or any active scope budget."""
-        if self._unmetered:
-            return
         policy = self.policy
         if (
             policy.probe_budget is not None

@@ -7,15 +7,11 @@ ProbeBackend` protocol by driving a
 adapter allowed to import the engine (enforced by the
 ``flake8-tidy-imports`` ban in ``pyproject.toml``) — everything above
 the measurement plane talks to backends, never to the simulator.
-
-Beyond probing, the adapter re-exports the engine's trajectory-cache
-hooks so the campaign's parallel prewarm keeps working without the
-orchestrator ever touching the engine.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet
+from typing import Callable
 
 from repro.dataplane.engine import ForwardingEngine
 from repro.measure.backend import ProbeBackend, ProbeRequest
@@ -56,28 +52,6 @@ ProbeReply`, returned as-is to avoid a per-probe copy)."""
         no per-probe conversion.
         """
         return self.engine.send_probe_batch(requests)
-
-    # ------------------------------------------------------------------
-    # Trajectory-cache hooks (parallel campaign prewarm)
-
-    @property
-    def trajectory_cache(self) -> bool:
-        """True when the engine memoises forwarding trajectories."""
-        return bool(getattr(self.engine, "trajectory_cache", False))
-
-    def trajectory_snapshot(self) -> FrozenSet[tuple]:
-        """Keys of the trajectories currently cached."""
-        return frozenset(self.engine._trajectories)
-
-    def export_trajectories(
-        self, known: FrozenSet[tuple] = frozenset()
-    ) -> Dict[tuple, dict]:
-        """Wire-format trajectories built since ``known``."""
-        return self.engine.export_trajectories(known)
-
-    def install_trajectories(self, wires: Dict[tuple, dict]) -> int:
-        """Install worker-built trajectories into the engine."""
-        return self.engine.install_trajectories(wires)
 
     def add_invalidation_listener(
         self, listener: Callable[[], None]

@@ -5,8 +5,7 @@ configuration drives all of them:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   fixed-bucket histograms, cheap enough for the forwarding engine's
-  per-probe path (plain dict adds, no locks; forked campaign workers
-  own copy-on-write registries and merge deltas on join);
+  per-probe path (plain dict adds, no locks);
 * :class:`~repro.obs.spans.Tracer` — context-manager spans over
   monotonic clocks with parent/child nesting, from ``campaign.run``
   down to individual engine walks and revelation attempts;

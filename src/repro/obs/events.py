@@ -171,8 +171,8 @@ class EventLog:
         self._refresh()
 
     def detach_all(self) -> None:
-        """Drop every sink — used by forked campaign workers so they
-        never write into the parent's trace file."""
+        """Drop every sink — a finished served session's log writes
+        nowhere after its stream closes."""
         self.sinks.clear()
         self._refresh()
 

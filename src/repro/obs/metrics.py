@@ -4,9 +4,9 @@ The registry is the numeric half of the observability subsystem
 (:mod:`repro.obs`).  It is deliberately minimal — plain dictionaries
 and integer adds — because it sits on the simulator's hot path: the
 forwarding engine increments counters per probe and per walked hop.
-No locks are needed: the process is single-threaded, and parallel
-campaigns fork workers that each own a copy-on-write clone of the
-registry and ship counter *deltas* back for an explicit merge
+The hot path takes no locks: each component stack (one per campaign,
+served session or fleet chain) owns its registry, and registries
+combine only through an explicit merge
 (:meth:`MetricsRegistry.merge_counters`).
 
 Counter names are dotted paths (``probe.sent.traceroute``,
@@ -16,16 +16,15 @@ defined invariance semantics:
 * **measurement counters** (``probe.*``, ``trace.*``, ``campaign.*``,
   ``revelation.*``, ``dpr.*``, ``brpr.*``, ``frpla.*``, ``rtla.*``)
   describe *what was measured* and are invariant under execution
-  strategy — a ``workers=N`` campaign reports exactly the same totals
-  as a serial run (the measurements are replayed by the same serial
-  code path);
-* **execution counters** (``engine.*``, ``phase.*``, ``prewarm.*``,
-  ``span.*``) describe *how* the run executed (cache hits vs misses,
-  worker prewarm activity, timings) and legitimately differ between
-  serial and parallel runs.
+  strategy — a replayed, resumed or walk-per-probe campaign reports
+  exactly the same totals as a live, uninterrupted, cached run;
+* **execution counters** (``engine.*``, ``phase.*``, ``span.*``, …)
+  describe *how* the run executed (cache hits vs misses, timings,
+  checkpoint writes) and legitimately differ between such runs.
 
 :func:`measurement_counters` filters a registry down to the invariant
-set; the parallel-equals-serial test pins the contract.
+set; the record→replay, resume == uninterrupted and cached ==
+walk-per-probe tests pin the contract.
 """
 
 from __future__ import annotations
@@ -48,11 +47,10 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 #: Counter namespaces that depend on the execution strategy (caching,
-#: worker count, wall-clock, checkpoint/resume) rather than on what
-#: was measured.
+#: wall-clock, checkpoint/resume) rather than on what was measured.
 EXECUTION_PREFIXES: Tuple[str, ...] = (
-    "dataplane.", "engine.", "monitor.", "phase.", "prewarm.",
-    "serve.", "span.", "store.",
+    "dataplane.", "engine.", "monitor.", "phase.", "serve.", "span.",
+    "store.",
 )
 
 
@@ -138,30 +136,11 @@ class MetricsRegistry:
         """Point-in-time copy of all counters."""
         return dict(self._counters)
 
-    def counter_deltas(self, base: Mapping[str, int]) -> Dict[str, int]:
-        """Per-counter growth since ``base`` (a prior snapshot).
-
-        Counters created after the snapshot appear with their full
-        value; zero deltas are omitted.
-        """
-        deltas: Dict[str, int] = {}
-        for name, value in self._counters.items():
-            delta = value - base.get(name, 0)
-            if delta:
-                deltas[name] = delta
-        return deltas
-
-    def merge_counters(
-        self, deltas: Mapping[str, int], prefix: str = ""
-    ) -> None:
-        """Add ``deltas`` into this registry, optionally re-namespaced.
-
-        Parallel campaigns merge each worker's counter deltas under the
-        ``prewarm.`` prefix so worker activity stays distinguishable
-        from the authoritative serial replay.
-        """
+    def merge_counters(self, deltas: Mapping[str, int]) -> None:
+        """Add ``deltas`` into this registry (a resume folds the
+        interrupted run's checkpointed counters in this way)."""
         for name, value in deltas.items():
-            self.inc(prefix + name, value)
+            self.inc(name, value)
 
     # ------------------------------------------------------------------
     # Gauges
@@ -220,21 +199,21 @@ class MetricsRegistry:
             },
         }
 
-    def merge(self, other: "MetricsRegistry", prefix: str = "") -> None:
+    def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry into this one.
 
         Counters and histogram observations add; gauges follow
         last-write-wins (the merged-in value overwrites).
         """
-        self.merge_counters(other._counters, prefix)
+        self.merge_counters(other._counters)
         for name, value in other._gauges.items():
-            self._gauges[prefix + name] = value
+            self._gauges[name] = value
         for name, histogram in other._histograms.items():
-            mine = self._histograms.get(prefix + name)
+            mine = self._histograms.get(name)
             if mine is None:
                 clone = Histogram(histogram.bounds)
                 clone.merge(histogram)
-                self._histograms[prefix + name] = clone
+                self._histograms[name] = clone
             else:
                 mine.merge(histogram)
 
@@ -250,8 +229,9 @@ def measurement_counters(
 ) -> Dict[str, int]:
     """The execution-strategy-invariant subset of ``counters``.
 
-    These are the totals that must be identical between a serial and a
-    ``workers=N`` campaign (see the module docstring for the namespace
+    These are the totals that must be identical between a live run and
+    its replay, or an interrupted-and-resumed run and its
+    uninterrupted twin (see the module docstring for the namespace
     contract).
     """
     return {

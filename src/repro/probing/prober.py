@@ -220,7 +220,7 @@ class Prober:
         A pure function of the pair — no process-global counter — so
         any re-measurement of the same pair reuses the same flow (and
         thus the same ECMP path), and campaigns produce identical
-        flows regardless of probing order or worker sharding.
+        flows regardless of probing order, including across a resume.
         """
         digest = zlib.crc32(f"{source.name}|{dst}".encode("ascii"))
         return 1 + (digest & 0xFFFF)

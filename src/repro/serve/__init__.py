@@ -22,8 +22,8 @@ The subsystem has four legs:
   :class:`ServeClient` used by tests, the ``repro serve`` CLI, and
   ``tools/soak.py serve``.
 
-Determinism contract: a campaign executed through the server (always
-``workers=1``) is byte-identical to the standalone orchestrator — the
+Determinism contract: a campaign executed through the server is
+byte-identical to the standalone orchestrator — the
 whole ``CampaignResult`` (``==``, inventory and RTLA state included)
 *and* the measurement counters.  The scheduler only decides *when* a
 tenant's next batch enters the simulator, never what is probed;

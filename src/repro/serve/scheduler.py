@@ -237,10 +237,10 @@ class ScheduledBackend:
     """Probe backend that waits its turn at the fair scheduler.
 
     Transparent to the whole measurement stack: every attribute the
-    :class:`~repro.measure.service.ProbeService`, prober, campaign, or
-    prewarm machinery probes for (``engine``, ``obs``, ``name``,
-    trajectory hooks, ``fault_state``…) delegates to the wrapped
-    backend, so wrapping changes scheduling and nothing else.
+    :class:`~repro.measure.service.ProbeService`, prober or campaign
+    probes for (``engine``, ``obs``, ``name``, ``fault_state``…)
+    delegates to the wrapped backend, so wrapping changes scheduling
+    and nothing else.
     """
 
     def __init__(self, inner, scheduler: FairScheduler, tenant: str) -> None:

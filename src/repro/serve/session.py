@@ -73,12 +73,7 @@ class AdmissionError(ValueError):
 
 @dataclass(frozen=True)
 class TenantSpec:
-    """One tenant's campaign request.
-
-    Served campaigns always run ``workers=1`` (prewarm forks are
-    unsafe from server threads, and ``workers=1`` is the
-    byte-identity configuration), so the spec has no workers knob.
-    """
+    """One tenant's campaign request."""
 
     tenant: str
     topology: TopologySpec = TopologySpec()

@@ -21,7 +21,7 @@ Snapshots are *keyed by content*: the key is a SHA-256 over the
 campaign's identity — topology descriptor (seed and friends), the
 identity-relevant :class:`~repro.campaign.orchestrator.CampaignConfig`
 fields, and the target set.  Execution knobs that cannot change what
-is measured (``workers``, ``probe_budget``, ``scope_budgets``,
+is measured (``probe_budget``, ``scope_budgets``,
 ``retry_backoff_ms``) are excluded on purpose: interrupting a run with
 a budget and resuming it without one must land in the same snapshot.
 
@@ -78,10 +78,9 @@ FLEET_SCHEMA = "repro.fleet/1"
 PHASES = ("trace", "ping", "pairs", "revelation")
 
 #: CampaignConfig fields excluded from the campaign key: they steer
-#: *how* the run executes (parallelism, stopping, wall-clock pacing),
+#: *how* the run executes (stopping, wall-clock pacing),
 #: not what it measures, and resuming legitimately changes them.
 IDENTITY_EXCLUDED_FIELDS = (
-    "workers",
     "probe_budget",
     "scope_budgets",
     "retry_backoff_ms",

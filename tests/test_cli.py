@@ -130,6 +130,34 @@ class TestCampaignOptions:
         out = capsys.readouterr().out
         assert "Table 4" in out
 
+    @pytest.mark.parametrize("argv", [
+        "campaign --scale 0.3 --probe-budget -5",
+        "chaos --probe-budget 0",
+        "campaign --scale 0",
+        "campaign --scale nan",
+        "campaign --vantage-points 0",
+        "campaign --max-retries -1",
+        "campaign --breaker-threshold -1",
+        "monitor --warehouse {wh} --scale 0.3 --epochs 1 --probe-budget -1",
+        "monitor --warehouse {wh} --epochs 0",
+        "fleet --warehouse {wh} --vantage-points 0",
+        "serve --tenants 0",
+        "serve --snapshots 0",
+        "serve --probe-budget 0",
+        "serve --max-active 0",
+        "serve --max-targets 0",
+        "serve --stubs-per-transit 0",
+        "experiment table4 --scale -1",
+    ])
+    def test_out_of_range_numbers_exit_two(self, capsys, tmp_path, argv):
+        args = shlex.split(argv.format(wh=tmp_path / "wh"))
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "must be" in capsys.readouterr().err
+
 
 class TestCampaignCheckpoint:
     def test_checkpoint_resume_and_diff(self, capsys, tmp_path):

@@ -265,15 +265,3 @@ class TestFlaps:
         assert _weight_sum(fresh.network) == (
             _weight_sum(untouched.network) + 14
         )
-
-    def test_flap_profile_disables_prewarm_cache(self):
-        internet = small_internet()
-        inner = SimBackend(internet.engine)
-        assert FaultyBackend(
-            inner, fault_profile("none")
-        ).trajectory_cache == bool(
-            getattr(inner, "trajectory_cache", False)
-        )
-        assert not FaultyBackend(
-            inner, fault_profile("flap")
-        ).trajectory_cache

@@ -32,8 +32,6 @@ from repro.synth import ChurnModel, ChurnProfile, churn_profile
 from repro.synth.internet import InternetConfig, build_internet
 from repro.synth.profiles import scaled_profiles
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
 
 def _twin_internet():
     """An internet identical to the one MonitorLoop builds itself."""
@@ -97,16 +95,6 @@ class TestIncrementalSafety:
             outcome.campaign_probes for outcome in full_report.epochs
         )
         assert inc_probes < full_probes
-
-    def test_saving_recorded_in_bench_snapshot(self):
-        """The committed perf snapshot pins the same contract."""
-        snapshot = json.loads(
-            (REPO_ROOT / "BENCH_perf.json").read_text()
-        )
-        section = snapshot["monitor_incremental_speedup"]
-        assert section["tunnels_identical"] is True
-        assert section["pairs_carried"] > 0
-        assert section["probe_ratio"] < 1.0
 
     def test_incremental_and_full_chains_are_distinct(self, arms):
         _, inc_report, _ = arms["inc"]

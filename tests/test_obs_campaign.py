@@ -1,10 +1,11 @@
 """Observability contracts at the campaign level.
 
 Pins the counter namespace invariance (measurement counters identical
-between serial and ``workers=2`` runs), the per-phase cache
-attribution, the report's edge cases, the span coverage of the
-revelation techniques on the GNS3 golden scenarios, and the CLI's
-``--trace-out`` / ``--metrics-out`` artefacts.
+between the trajectory engine and its walk-per-probe reference), the
+per-phase timing and cache attribution, the report's edge cases, the
+span coverage of the revelation techniques on the GNS3 golden
+scenarios, and the CLI's ``--trace-out`` / ``--metrics-out``
+artefacts.
 """
 
 import json
@@ -33,70 +34,75 @@ from repro.synth.gns3 import build_gns3
 from repro.synth.internet import InternetConfig, build_internet
 
 
-def _run_campaign(workers):
-    internet = build_internet(InternetConfig(seed=77))
+def _run_campaign(trajectory_cache):
+    internet = build_internet(
+        InternetConfig(seed=77, trajectory_cache=trajectory_cache)
+    )
     campaign = Campaign(
         internet.prober,
         internet.vps,
         internet.asn_of_address,
-        CampaignConfig(
-            suspicious_asns=tuple(internet.transit_asns),
-            workers=workers,
-        ),
+        CampaignConfig(suspicious_asns=tuple(internet.transit_asns)),
     )
-    result = campaign.run(internet.campaign_targets())
-    return campaign, result
+    return campaign, campaign.run(internet.campaign_targets())
 
 
 @pytest.fixture(scope="module")
-def serial_and_parallel():
-    return _run_campaign(1), _run_campaign(2)
+def cached_and_walked():
+    """The seeded campaign on the trajectory engine and on its
+    walk-per-probe reference."""
+    return _run_campaign(True), _run_campaign(False)
+
+
+@pytest.fixture(scope="module")
+def cached(cached_and_walked):
+    """The default (cached) run: its orchestrator and result."""
+    return cached_and_walked[0]
 
 
 class TestCounterInvariance:
-    def test_measurement_counters_identical(self, serial_and_parallel):
-        (serial, _), (parallel, _) = serial_and_parallel
-        serial_counters = measurement_counters(
-            serial.obs.metrics.counters
+    def test_measurement_counters_identical(self, cached_and_walked):
+        (cached, cached_result), (walked, walked_result) = (
+            cached_and_walked
         )
-        parallel_counters = measurement_counters(
-            parallel.obs.metrics.counters
+        assert cached_result == walked_result
+        cached_counters = measurement_counters(
+            cached.obs.metrics.counters
         )
-        assert serial_counters == parallel_counters
+        assert cached_counters == measurement_counters(
+            walked.obs.metrics.counters
+        )
         # And they are not trivially empty.
-        assert serial_counters["probe.sent.traceroute"] > 0
-        assert serial_counters["revelation.attempts"] > 0
-
-    def test_parallel_run_records_prewarm_activity(
-        self, serial_and_parallel
-    ):
-        (serial, _), (parallel, _) = serial_and_parallel
-        serial_counters = serial.obs.metrics.counters
-        parallel_counters = parallel.obs.metrics.counters
-        assert parallel_counters["prewarm.rounds"] > 0
-        assert (
-            parallel_counters["prewarm.probe.sent.traceroute"] > 0
-        )
-        assert not any(
-            name.startswith("prewarm.") for name in serial_counters
-        )
+        assert cached_counters["probe.sent.traceroute"] > 0
+        assert cached_counters["revelation.attempts"] > 0
 
     def test_execution_counters_differ_as_expected(
-        self, serial_and_parallel
+        self, cached_and_walked
     ):
-        (serial, _), (parallel, _) = serial_and_parallel
-        # The prewarmed parent replays mostly from cache: more hits,
-        # fewer misses than the cold serial run — the exact reason
-        # engine.* is excluded from the invariance contract.
-        assert (
-            parallel.obs.metrics.get("engine.trajectory_hits")
-            > serial.obs.metrics.get("engine.trajectory_hits")
-        )
+        (cached, _), (walked, _) = cached_and_walked
+        # The reference walks every probe: no cache lookups, more hops
+        # — the exact reason engine.* is excluded from the contract.
+        assert cached.obs.metrics.get("engine.trajectory_hits") > 0
+        assert walked.obs.metrics.get("engine.trajectory_hits") == 0
+        assert walked.obs.metrics.get(
+            "engine.hops_walked"
+        ) > cached.obs.metrics.get("engine.hops_walked")
 
 
 class TestPhaseAttribution:
-    def test_phase_counters_match_registry(self, serial_and_parallel):
-        (campaign, result), _ = serial_and_parallel
+    def test_perf_stats_populated(self, cached):
+        _, result = cached
+        phases = result.perf.phase_seconds
+        assert set(phases) == {"trace", "ping", "extract", "revelation"}
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        assert result.perf.total_seconds == pytest.approx(
+            sum(phases.values())
+        )
+        assert result.perf.packets_simulated > 0
+        assert 0.0 <= result.perf.hit_rate <= 1.0
+
+    def test_phase_counters_match_registry(self, cached):
+        campaign, result = cached
         metrics = campaign.obs.metrics
         assert set(result.perf.phase_counters) == {
             "trace", "ping", "extract", "revelation",
@@ -110,8 +116,8 @@ class TestPhaseAttribution:
             )
             assert metrics.gauge(f"phase.{phase}.seconds") >= 0.0
 
-    def test_phase_deltas_sum_to_run_totals(self, serial_and_parallel):
-        (_, result), _ = serial_and_parallel
+    def test_phase_deltas_sum_to_run_totals(self, cached):
+        _, result = cached
         hits = sum(
             c["trajectory_hits"]
             for c in result.perf.phase_counters.values()
@@ -128,7 +134,6 @@ class TestPerfSectionEdgeCases:
     def test_default_perf_stats_render(self):
         section = render_perf_section(CampaignResult())
         assert "## Performance" in section
-        assert "workers" in section
         assert "phase" not in section  # no phases recorded
         assert "0.0%" in section  # hit rate defined at zero probes
 

@@ -29,28 +29,6 @@ class TestCounters:
         assert snapshot == {"a": 1}
         assert registry.get("a") == 2
 
-    def test_deltas_omit_zero_and_include_new(self):
-        registry = MetricsRegistry()
-        registry.inc("stable", 3)
-        registry.inc("growing", 1)
-        base = registry.counters_snapshot()
-        registry.inc("growing", 2)
-        registry.inc("fresh", 7)
-        assert registry.counter_deltas(base) == {
-            "growing": 2, "fresh": 7,
-        }
-
-    def test_merge_counters_with_prefix(self):
-        registry = MetricsRegistry()
-        registry.inc("engine.hops_walked", 10)
-        registry.merge_counters(
-            {"engine.hops_walked": 5, "probe.sent": 2},
-            prefix="prewarm.",
-        )
-        assert registry.get("engine.hops_walked") == 10
-        assert registry.get("prewarm.engine.hops_walked") == 5
-        assert registry.get("prewarm.probe.sent") == 2
-
 
 class TestGauges:
     def test_last_write_wins(self):
@@ -129,7 +107,6 @@ class TestMeasurementCounters:
             "revelation.traces": 3,
             "engine.trajectory_hits": 7,
             "phase.trace.trajectory_hits": 7,
-            "prewarm.probe.sent.traceroute": 5,
             "span.count": 1,
         }
         kept = measurement_counters(counters)

@@ -93,13 +93,6 @@ class TestBudgets:
             service.ping_probe("VP", 1, flow_id=9)
         assert service.scope_spent("revelation") == 1
 
-    def test_exempt_budgets_disables_enforcement(self):
-        service, _ = _service(MeasurementPolicy(probe_budget=1))
-        service.exempt_budgets()
-        for dst in range(5):
-            service.ping_probe("VP", dst, flow_id=9)
-        assert service.probes_sent == 5
-
     def test_batch_admission_is_all_or_nothing(self):
         service, backend = _service(MeasurementPolicy(probe_budget=2))
         requests = [

@@ -62,6 +62,7 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
 )
 
+from repro.cli import positive  # noqa: E402
 from repro.experiments.common import CampaignContext, ContextConfig  # noqa: E402
 from repro.faults import LOSS_LADDER, profile_names  # noqa: E402
 from repro.fleet import FleetConfig, FleetSupervisor  # noqa: E402
@@ -542,14 +543,6 @@ SOAKS = {"campaign": soak_campaign, "serve": soak_serve, "fleet": soak_fleet}
 def fresh_warehouses(args):
     """A new directory under ``--out`` for this run's warehouses."""
     return tempfile.mkdtemp(prefix=f"{args.command}-warehouses-", dir=args.out)
-
-
-def positive(text):
-    """argparse type: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def parse_args(argv=None):
