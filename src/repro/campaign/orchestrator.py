@@ -237,19 +237,6 @@ class CampaignResult:
         """Revelations that exposed at least one hidden hop."""
         return [r for r in self.revelations.values() if r.success]
 
-    def revealed_addresses(self) -> Set[int]:
-        """All addresses surfaced by revelation."""
-        revealed: Set[int] = set()
-        for revelation in self.revelations.values():
-            revealed.update(revelation.revealed)
-        return revealed
-
-    def revelation_for_pair(
-        self, ingress: int, egress: int
-    ) -> Optional[Revelation]:
-        """Lookup by endpoint pair."""
-        return self.revelations.get((ingress, egress))
-
     def duration_estimate_seconds(
         self, rate_pps: float = 25.0, teams: int = 5
     ) -> float:

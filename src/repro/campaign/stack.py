@@ -6,7 +6,8 @@ standalone twin and monitor chains all measure through
 the policy fields ``topology``, ``probe_budget``, ``max_retries``,
 ``breaker_threshold``, ``fault_profile``, ``checkpoint_dir`` and
 ``resume``, mapped here to the orchestrator and its checkpoint — so
-a served tenant and a CLI run of one spec land in one snapshot.
+a served tenant and a CLI run of one spec land in one snapshot, and
+:func:`write_result` gives that snapshot one ``result.json``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 from repro.campaign.orchestrator import Campaign, CampaignConfig
 from repro.measure import SimBackend
 
-__all__ = ["campaign_for", "checkpoint_for", "probe_backend"]
+__all__ = ["campaign_for", "checkpoint_for", "probe_backend", "write_result"]
 
 
 def probe_backend(engine, fault_profile: Optional[str] = None):
@@ -72,3 +73,43 @@ def checkpoint_for(spec, revelation_technique: Optional[str] = None):
         ),
         resume=spec.resume,
     )
+
+
+def write_result(
+    checkpoint,
+    internet,
+    campaign: Campaign,
+    result,
+    aggregator=None,
+    frpla=None,
+) -> Optional[dict]:
+    """Write a finished run's ``result.json`` into its checkpoint
+    snapshot and return the document (None without a snapshot).
+
+    The per-AS section needs an :class:`Aggregator` over ground-truth
+    aliases and the campaign's FRPLA analyser; a caller that already
+    built them passes them in, so nothing is computed twice.
+    """
+    if checkpoint is None or checkpoint.snapshot is None:
+        return None
+    from repro.campaign.postprocess import Aggregator
+    from repro.store import result_document
+
+    if aggregator is None:
+        def alias_of(address: int) -> Optional[str]:
+            router = internet.router_of_address(address)
+            return None if router is None else router.name
+
+        aggregator = Aggregator(
+            result, internet.asn_of_address, alias_of=alias_of
+        )
+    if frpla is None:
+        frpla = campaign.frpla(result, classify=aggregator.role_of)
+    names = {
+        asn: profile.name for asn, profile in internet.profiles.items()
+    }
+    document = result_document(
+        result, aggregator, frpla=frpla, as_names=names
+    )
+    checkpoint.snapshot.write_result(document)
+    return document

@@ -16,7 +16,7 @@
   campaign snapshots (tunnels appeared/disappeared/length-changed,
   per-AS deltas);
 * ``repro serve`` — many tenant campaigns multiplexed over shared
-  rendered snapshots by the async campaign server (fair scheduling,
+  rendered snapshots by the threaded campaign server (fair scheduling,
   per-tenant budgets and chaos, combined JSONL event stream);
 * ``repro fleet`` — a supervised fleet of monitor chains over one
   shared render (copy-on-churn twins, watchdogs, crash-identical
@@ -66,7 +66,8 @@ from repro.serve.registry import TopologySpec
 from repro.synth.gns3 import SCENARIOS, build_gns3
 
 __all__ = [
-    "EXPERIMENTS", "main", "non_negative", "positive", "positive_float",
+    "EXPERIMENTS", "main", "non_negative", "non_negative_float",
+    "positive", "positive_float",
 ]
 
 #: Experiment id -> module with a ``run()`` returning ``.text``.
@@ -112,6 +113,14 @@ def positive_float(text):
     value = float(text)
     if not 0.0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+    return value
+
+
+def non_negative_float(text):
+    """argparse type: a finite number of at least 0."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
     return value
 
 
@@ -440,23 +449,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "repro.fleet/1 aggregate is written there as fleet.json",
     )
     fleet.add_argument(
-        "--chains", type=int, default=3, metavar="N",
+        "--chains", type=positive, default=3, metavar="N",
         help="concurrent monitor chains (chain i churns with seed "
         "base+i over a private copy-on-churn twin)",
     )
     _add_chain_arguments(fleet)
     fleet.add_argument(
-        "--restart-budget", type=int, default=3, metavar="N",
+        "--restart-budget", type=non_negative, default=3, metavar="N",
         help="deaths tolerated per chain before it is parked "
         "(parking downgrades the fleet grade, never fails the run)",
     )
     fleet.add_argument(
-        "--epoch-deadline", type=int, default=None, metavar="N",
+        "--epoch-deadline", type=positive, default=None, metavar="N",
         help="watchdog: kill and restart any epoch that submits "
         "more than N probes (simulated clock — probe ticks)",
     )
     fleet.add_argument(
-        "--backoff-base-ms", type=float, default=25.0, metavar="MS",
+        "--backoff-base-ms", type=non_negative_float, default=25.0,
+        metavar="MS",
         help="base for the exponential restart backoff",
     )
     fleet.add_argument(
@@ -468,12 +478,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "byte-identically",
     )
     fleet.add_argument(
-        "--alert-factor", type=float, default=2.0, metavar="X",
+        "--alert-factor", type=positive_float, default=2.0, metavar="X",
         help="churn-spike alert when a transition's lifecycle-event "
         "count exceeds X times the chain's trailing baseline",
     )
     fleet.add_argument(
-        "--alert-min-events", type=int, default=2, metavar="N",
+        "--alert-min-events", type=non_negative, default=2, metavar="N",
         help="minimum lifecycle events before a spike can alert",
     )
     fleet.add_argument(

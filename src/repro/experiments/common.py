@@ -15,7 +15,12 @@ from typing import Optional, Sequence
 
 from repro.campaign.orchestrator import CampaignResult
 from repro.campaign.postprocess import Aggregator
-from repro.campaign.stack import campaign_for, checkpoint_for, probe_backend
+from repro.campaign.stack import (
+    campaign_for,
+    checkpoint_for,
+    probe_backend,
+    write_result,
+)
 from repro.core.frpla import FrplaAnalyzer
 from repro.measure import RecordingBackend, ReplayBackend
 from repro.probing.prober import Prober
@@ -122,24 +127,10 @@ class CampaignContext:
         self.frpla: FrplaAnalyzer = self.campaign.frpla(
             self.result, classify=self.aggregator.role_of
         )
-        if checkpoint is not None and checkpoint.snapshot is not None:
-            # The diffable summary: volumes, revealed tunnels, and
-            # per-AS verdicts (``repro diff`` prefers it over the raw
-            # phase records).
-            from repro.store import result_document
-
-            names = {
-                asn: profile.name
-                for asn, profile in self.internet.profiles.items()
-            }
-            checkpoint.snapshot.write_result(
-                result_document(
-                    self.result,
-                    self.aggregator,
-                    frpla=self.frpla,
-                    as_names=names,
-                )
-            )
+        write_result(
+            checkpoint, self.internet, self.campaign, self.result,
+            aggregator=self.aggregator, frpla=self.frpla,
+        )
 
     # ------------------------------------------------------------------
 

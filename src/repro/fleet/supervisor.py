@@ -32,7 +32,7 @@ failing the run.
 
 **Drain + aggregation.**  :meth:`FleetSupervisor.request_drain` is
 signal-handler safe (the ``repro fleet`` CLI wires it to SIGTERM,
-mirroring :meth:`repro.serve.server.CampaignServer.drain`): every
+mirroring :meth:`repro.serve.server.ServeClient.request_drain`): every
 chain finishes its in-flight epoch, persists resumable state, and
 stops at the next epoch boundary.  Whatever the chains leave in the
 warehouse, the supervisor folds into one ``repro.fleet/1`` document
@@ -45,6 +45,7 @@ content; restarts, backoff and kills live only in the
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -199,6 +200,9 @@ class FleetConfig(ChainSpec):
             and self.epoch_deadline < 1
         ):
             raise ValueError("epoch_deadline must be >= 1")
+        for name in ("backoff_base_ms", "backoff_cap_ms"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
     def monitor_config(self, index: int) -> MonitorConfig:
         """Chain ``index``'s monitor config (distinct churn seed)."""
@@ -344,7 +348,7 @@ class FleetSupervisor:
     which that chain's *first* attempt is hard-killed
     (:class:`WorkerKilled`) — the fault-drill hook behind the CLI's
     ``--kill-chain`` and the soak harness.  ``registry`` may be
-    shared with a live :class:`~repro.serve.server.CampaignServer`:
+    shared with a live :class:`~repro.serve.server.ServeClient`:
     checkouts reuse its renders without thawing them.
     """
 
@@ -372,8 +376,8 @@ class FleetSupervisor:
 
         Every chain finishes its in-flight epoch, persists resumable
         state, and stops at the next epoch boundary; dead chains are
-        not restarted.  Mirrors ``CampaignServer.drain`` for the
-        fleet's thread-based workers.
+        not restarted.  Mirrors ``ServeClient.request_drain`` for the
+        fleet's chain workers.
         """
         self._drain.set()
 

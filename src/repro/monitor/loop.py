@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.campaign.orchestrator import Campaign, CampaignConfig
-from repro.campaign.postprocess import Aggregator
-from repro.campaign.stack import probe_backend
+from repro.campaign.stack import probe_backend, write_result
 from repro.core.revelation import Revelation, RevelationMethod
 from repro.monitor.staleness import StalenessEngine, StalenessReport
 from repro.obs import Obs
@@ -56,7 +55,6 @@ from repro.store import (
     CampaignCheckpoint,
     CampaignStore,
     campaign_key,
-    result_document,
     snapshot_tunnels,
 )
 from repro.store.layout import MONITOR_SCHEMA, write_json
@@ -543,8 +541,7 @@ class MonitorLoop:
             return outcome
         if carried and previous is not None:
             self._merge_carried(result, previous, carried)
-        document = self._result_document(campaign, result)
-        checkpoint.snapshot.write_result(document)
+        document = write_result(checkpoint, self.internet, campaign, result)
         outcome.tunnels = len(document.get("tunnels") or [])
         self._write_sidecar(epoch, key, outcome, staleness)
         return outcome
@@ -621,29 +618,6 @@ class MonitorLoop:
                 ),
                 technique=str(tunnel.get("technique") or "combined"),
             )
-
-    def _result_document(self, campaign: Campaign, result) -> dict:
-        """The epoch's complete ``result.json`` document."""
-        aggregator = Aggregator(
-            result,
-            self.internet.asn_of_address,
-            alias_of=self._alias_of,
-        )
-        frpla = campaign.frpla(
-            result, classify=aggregator.role_of
-        )
-        names = {
-            asn: profile.name
-            for asn, profile in self.internet.profiles.items()
-        }
-        return result_document(
-            result, aggregator, frpla=frpla, as_names=names
-        )
-
-    def _alias_of(self, address: int) -> Optional[str]:
-        """Ground-truth alias resolver (address -> router name)."""
-        router = self.internet.router_of_address(address)
-        return None if router is None else router.name
 
     def _write_sidecar(
         self,

@@ -8,7 +8,7 @@ configuration; the forwarding engine consults both.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.mpls.config import MplsConfig
 from repro.net.addressing import Prefix, format_address
@@ -118,11 +118,6 @@ class Router:
         """True when ``address`` belongs to this router."""
         return address in self._addresses
 
-    def connected_prefixes(self) -> Iterator[Prefix]:
-        """Iterate the link prefixes this router is attached to."""
-        for interface in self.interfaces.values():
-            yield interface.prefix
-
     def is_connected_to(self, prefix: Prefix) -> bool:
         """True when one of the router's interfaces sits in ``prefix``."""
         return prefix in self._prefixes
@@ -149,11 +144,6 @@ class Router:
 
     # ------------------------------------------------------------------
     # Behaviour shortcuts used by the forwarding engine
-
-    @property
-    def mpls_enabled(self) -> bool:
-        """True when this router label-switches."""
-        return self.mpls.enabled
 
     def initial_ttl(self, message: str) -> int:
         """Initial IP-TTL for a locally-generated ``message``.

@@ -82,17 +82,6 @@ class Histogram:
         """Mean observed value (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
-    def merge(self, other: "Histogram") -> None:
-        """Add another histogram's observations (same bounds required)."""
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"bucket mismatch: {other.bounds} vs {self.bounds}"
-            )
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.total += other.total
-        self.count += other.count
-
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready dict (bounds, per-bucket counts, sum, count)."""
         return {
@@ -198,24 +187,6 @@ class MetricsRegistry:
                 for name, histogram in sorted(self._histograms.items())
             },
         }
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one.
-
-        Counters and histogram observations add; gauges follow
-        last-write-wins (the merged-in value overwrites).
-        """
-        self.merge_counters(other._counters)
-        for name, value in other._gauges.items():
-            self._gauges[name] = value
-        for name, histogram in other._histograms.items():
-            mine = self._histograms.get(name)
-            if mine is None:
-                clone = Histogram(histogram.bounds)
-                clone.merge(histogram)
-                self._histograms[name] = clone
-            else:
-                mine.merge(histogram)
 
     def reset(self) -> None:
         """Drop every metric (tests and fresh CLI runs)."""

@@ -1,4 +1,4 @@
-"""``repro.serve`` — async multi-tenant campaign service.
+"""``repro.serve`` — threaded multi-tenant campaign service.
 
 Turns the one-process-per-campaign CLI model into a long-lived
 service: many tenants run full measurement campaigns concurrently
@@ -15,12 +15,11 @@ The subsystem has four legs:
   interleaves probe batches across tenants in weighted quanta, on the
   session threads;
 * :mod:`repro.serve.session` — per-tenant session lifecycle: spec,
-  isolated measurement stack, JSONL event streaming, checkpoint
+  isolated measurement stack, JSONL event mirroring, checkpoint
   resume, and the standalone twin used for bit-identity checks;
-* :mod:`repro.serve.server` — the asyncio :class:`CampaignServer`
-  (admission control, drain) and the thread-backed in-process
-  :class:`ServeClient` used by tests, the ``repro serve`` CLI, and
-  ``tools/soak.py serve``.
+* :mod:`repro.serve.server` — :class:`ServeClient`, the thread-safe
+  server (admission control, a bounded worker pool, drain) used by
+  tests, the ``repro serve`` CLI, and ``tools/soak.py serve``.
 
 Determinism contract: a campaign executed through the server is
 byte-identical to the standalone orchestrator — the
@@ -45,11 +44,10 @@ from repro.serve.session import (
     TenantSpec,
     run_standalone,
 )
-from repro.serve.server import CampaignServer, ServeClient
+from repro.serve.server import ServeClient
 
 __all__ = [
     "AdmissionError",
-    "CampaignServer",
     "CampaignSession",
     "FairScheduler",
     "ScheduledBackend",

@@ -164,7 +164,7 @@ class FairScheduler:
     def release(self) -> None:
         """Return the grant; end a used-up quantum; wake a waiter
         only if one may enter.  A lane running alone never blocks, so
-        it yields the interpreter here: else the loop admitting the
+        it yields the interpreter here: else the thread submitting the
         next tenant waits out the switch interval while the lone lane
         runs up to ~180 probes past the newcomer's floor.
         """

@@ -1,31 +1,31 @@
-"""The asyncio campaign server and its in-process client.
+"""The threaded multi-tenant campaign server.
 
-:class:`CampaignServer` is the control plane of ``repro.serve``: it
-owns the snapshot registry, the fair scheduler, and the session
-table, and multiplexes tenant campaigns over a bounded pool of
-executor threads.  Sessions beyond ``max_active`` queue; the
-scheduler turnstile interleaves the active ones on their own threads,
-so the event loop sees admission, drain and live streams, never a probe.
+:class:`ServeClient` is the control plane of ``repro.serve``: it owns
+the snapshot registry, the fair scheduler, and the session table, and
+runs tenant campaigns on a bounded pool of worker threads.  Sessions
+beyond ``max_active`` queue; the scheduler turnstile interleaves the
+active ones on their own threads.  Admission, dispatch, completion,
+drain and :meth:`ServeClient.stats` share one
+:class:`threading.Condition`, taken by the submitting thread and by
+each worker as its session finishes.  The lock order is the server
+lock, then the scheduler's; the scheduler never calls back into the
+server.
 
-Admission control happens at :meth:`CampaignServer.submit`: unknown
+Admission control happens at :meth:`ServeClient.submit`: unknown
 chaos profiles, network-mutating profiles (illegal against frozen
-shared snapshots), and non-positive weights are rejected with :class:`AdmissionError`
-before any resources are committed.
+shared snapshots), and non-positive weights are rejected with
+:class:`AdmissionError` before any resources are committed.
 
-Shutdown is a **graceful drain**: :meth:`CampaignServer.drain` stops
+Shutdown is a **graceful drain**: :meth:`ServeClient.drain` stops
 admission, optionally cancels still-queued sessions, lets active
-campaigns run to completion, and resolves every waiter — the
-behaviour ``tools/soak.py serve`` wires to SIGTERM.
-
-:class:`ServeClient` is the thin in-process client: it runs the
-server's event loop on a background thread and exposes synchronous
-``submit``/``wait``/``drain`` for tests, the ``repro serve`` CLI,
-and the soak harness.
+campaigns run to completion, and wakes every waiter.
+:meth:`ServeClient.request_drain` starts one from a signal handler
+without touching the server lock — the behaviour ``tools/soak.py
+serve`` wires to SIGTERM.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from collections import Counter, deque
 from typing import Deque, Dict, List, Optional, Set
@@ -44,14 +44,41 @@ from repro.serve.session import (
     TenantSpec,
 )
 
-__all__ = ["CampaignServer", "ServeClient", "SessionHandle"]
+__all__ = ["ServeClient", "SessionHandle"]
 
 
-class CampaignServer:
-    """Async multi-tenant campaign service.
+class SessionHandle:
+    """Synchronous view of a submitted session."""
+
+    def __init__(self, session: CampaignSession) -> None:
+        self.session = session
+
+    @property
+    def spec(self) -> TenantSpec:
+        """The submitted tenant spec."""
+        return self.session.spec
+
+    @property
+    def status(self) -> str:
+        """Current lifecycle state."""
+        return self.session.status
+
+    @property
+    def events(self) -> List[Dict[str, object]]:
+        """Structured events buffered so far."""
+        return self.session.events
+
+    def wait(self, timeout: Optional[float] = None):
+        """Block until the campaign finishes; returns its result
+        (see :meth:`CampaignSession.wait`)."""
+        return self.session.wait(timeout)
+
+
+class ServeClient:
+    """Thread-safe multi-tenant campaign server.
 
     ``max_active`` bounds concurrently *running* sessions (each holds
-    one executor thread).  ``stream_sink`` (an object with
+    one worker thread).  ``stream_sink`` (an object with
     ``write(record)``) receives every session's events tagged with its
     tenant name — the combined JSONL stream the CLI writes.  Finished
     sessions are pruned; :meth:`stats` tallies them by status.
@@ -77,53 +104,18 @@ class CampaignServer:
         self._finished: Counter = Counter()
         self._pending: Deque[CampaignSession] = deque()
         self._running: Set[CampaignSession] = set()
+        #: Set without the lock by :meth:`request_drain`.
         self._draining = False
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._executor = None
-        self._idle: Optional[asyncio.Event] = None
+        self._cancel_queued = False
+        self._cond = threading.Condition()
         self._stream_sink = stream_sink
         self._stream_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-
-    async def start(self) -> None:
-        """Bind to the running loop and spin up the thread pool."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        if self._loop is not None:
-            return
-        self._loop = asyncio.get_running_loop()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.max_active,
-            thread_name_prefix="repro-serve",
-        )
-        self._idle = asyncio.Event()
-        self._idle.set()
-
-    async def __aenter__(self) -> "CampaignServer":
-        """``async with`` entry: start the server."""
-        await self.start()
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        """``async with`` exit: drain (keeping queued work) and stop."""
-        await self.close()
-
-    async def close(self) -> None:
-        """Drain everything submitted, then release the thread pool."""
-        await self.drain()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     # ------------------------------------------------------------------
     # Admission + submission
 
     def _admit(self, spec: TenantSpec) -> None:
         """Validate a spec; raise :class:`AdmissionError` if unsafe."""
-        if self._loop is None:
-            raise AdmissionError("server is not started")
         if self._draining:
             raise AdmissionError("server is draining; not admitting")
         if spec.weight <= 0:
@@ -147,31 +139,36 @@ class CampaignServer:
                     "private copy-on-churn twin of the shared render"
                 )
 
-    async def submit(self, spec: TenantSpec) -> CampaignSession:
+    def submit(self, spec: TenantSpec) -> SessionHandle:
         """Admit a tenant and queue its campaign session."""
-        self._admit(spec)
-        session = CampaignSession(
-            spec,
-            self.registry,
-            self.scheduler,
-            self._loop,
-            shared_sink=self._stream_sink,
-            shared_sink_lock=self._stream_lock,
-        )
-        self._pending.append(session)
-        self.obs.metrics.inc("serve.sessions.submitted")
-        self._pump()
-        return session
+        with self._cond:
+            self._admit(spec)
+            session = CampaignSession(
+                spec,
+                self.registry,
+                self.scheduler,
+                shared_sink=self._stream_sink,
+                shared_sink_lock=self._stream_lock,
+            )
+            self._pending.append(session)
+            self.obs.metrics.inc("serve.sessions.submitted")
+            self._dispatch()
+        return SessionHandle(session)
 
     # ------------------------------------------------------------------
-    # Dispatch (loop thread)
+    # Dispatch and completion (server lock held)
 
-    def _pump(self) -> None:
-        """Start queued sessions while thread slots are free."""
+    def _dispatch(self) -> None:
+        """Cancel queued sessions when a drain asked for it, else
+        start them while worker slots are free."""
+        if self._cancel_queued:
+            while self._pending:
+                session = self._pending.popleft()
+                session.status = CANCELLED
+                self.obs.metrics.inc("serve.sessions.cancelled")
+                self._settle(session)
         while self._pending and len(self._running) < self.max_active:
             session = self._pending.popleft()
-            if session.status != QUEUED:
-                continue
             session.status = RUNNING
             self._running.add(session)
             # Lanes open at start-of-run, not submission: a queued
@@ -179,201 +176,108 @@ class CampaignServer:
             self.scheduler.register(
                 session.spec.tenant, session.spec.weight
             )
-            future = self._loop.run_in_executor(
-                self._executor, session._run
-            )
-            future.add_done_callback(
-                lambda fut, s=session: self._finalize(s, fut)
-            )
+            threading.Thread(
+                target=self._work, args=(session,), name="repro-serve"
+            ).start()
         self.obs.metrics.set_gauge(
             "serve.sessions.queued", len(self._pending)
         )
         self.obs.metrics.set_gauge(
             "serve.sessions.running", len(self._running)
         )
-        self._update_idle()
 
-    def _finalize(
-        self, session: CampaignSession, future: "asyncio.Future"
-    ) -> None:
-        """Record a finished session's outcome (loop thread)."""
-        self._running.discard(session)
+    def _work(self, session: CampaignSession) -> None:
+        """Worker-thread body: run one session, record its outcome."""
         try:
-            session.result = future.result()
-            session.status = DONE
-            self.obs.metrics.inc("serve.sessions.completed")
-            if session.result.partial:
-                self.obs.metrics.inc("serve.sessions.partial")
+            result, error = session._run(), None
         except BaseException as exc:  # noqa: B036 - faithfully recorded
-            session.error = exc
-            session.status = FAILED
-            self.obs.metrics.inc("serve.sessions.failed")
-        if session.metrics is not None:
-            denied = session.metrics.get("measure.budget.denied")
-            if denied:
-                self.obs.metrics.inc("serve.budget_denials", denied)
-        self._settle(session)
-        self.scheduler.retire(session.spec.tenant)
-        self._pump()
-
-    def _cancel(self, session: CampaignSession) -> None:
-        """Cancel a still-queued session (loop thread)."""
-        session.status = CANCELLED
-        self.obs.metrics.inc("serve.sessions.cancelled")
-        self._settle(session)
+            result, error = None, exc
+        with self._cond:
+            self._running.discard(session)
+            if error is None:
+                session.result = result
+                session.status = DONE
+                self.obs.metrics.inc("serve.sessions.completed")
+                if result.partial:
+                    self.obs.metrics.inc("serve.sessions.partial")
+            else:
+                session.error = error
+                session.status = FAILED
+                self.obs.metrics.inc("serve.sessions.failed")
+            if session.metrics is not None:
+                denied = session.metrics.get("measure.budget.denied")
+                if denied:
+                    self.obs.metrics.inc("serve.budget_denials", denied)
+            self._settle(session)
+            self.scheduler.retire(session.spec.tenant)
+            self._dispatch()
 
     def _settle(self, session: CampaignSession) -> None:
         """Tally a finished session and wake its waiters."""
         session.grant_snapshot = self.scheduler.stats()
         self._finished[session.status] += 1
-        session._done_event.set()
-        session._finalize_stream()
-
-    def _update_idle(self) -> None:
-        """Track whether any work remains (drain waits on this)."""
-        if self._idle is None:
-            return
-        if not self._pending and not self._running:
-            self._idle.set()
-        else:
-            self._idle.clear()
+        session._done.set()
+        self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Drain + introspection
 
-    async def drain(self, cancel_queued: bool = False) -> None:
+    def drain(self, cancel_queued: bool = False,
+              timeout: Optional[float] = None) -> None:
         """Stop admission and wait for submitted work to settle.
 
         ``cancel_queued=False`` (the default) lets everything already
         submitted run to completion; ``cancel_queued=True`` cancels
         sessions that have not started yet — active campaigns still
-        finish cleanly either way.
+        finish cleanly either way.  Raises :class:`TimeoutError` if
+        work is still running after ``timeout`` seconds.
         """
-        self._draining = True
+        self.request_drain(cancel_queued)
+        with self._cond:
+            self._dispatch()
+            if not self._cond.wait_for(
+                lambda: not self._pending and not self._running, timeout
+            ):
+                raise TimeoutError(
+                    f"drain timed out with {len(self._running)} "
+                    "session(s) running"
+                )
+
+    def request_drain(self, cancel_queued: bool = True) -> None:
+        """Signal-handler-safe drain trigger (does not block).
+
+        A handler runs on the main thread, which may hold the server
+        lock inside :meth:`submit`, so this only flags the server:
+        admission stops at once, and queued sessions are cancelled
+        when the next running session finishes (the only event that
+        could have started them).
+        """
         if cancel_queued:
-            while self._pending:
-                self._cancel(self._pending.popleft())
-            self._update_idle()
-        if self._idle is not None:
-            await self._idle.wait()
+            self._cancel_queued = True
+        self._draining = True
 
     @property
     def sessions(self) -> List[CampaignSession]:
         """Sessions still queued or running; finished ones are
         pruned."""
-        return [*self._pending, *self._running]
+        with self._cond:
+            return [*self._pending, *self._running]
 
     def stats(self) -> Dict[str, object]:
         """Server summary: sessions, scheduler lanes, registry reuse."""
-        live = Counter(session.status for session in self.sessions)
-        return {
-            "sessions": dict(self._finished + live),
-            "queued": len(self._pending),
-            "running": len(self._running),
-            "draining": self._draining,
-            "scheduler": self.scheduler.stats(),
-            "registry": self.registry.stats(),
-        }
-
-
-class SessionHandle:
-    """Synchronous view of a session for :class:`ServeClient` users."""
-
-    def __init__(self, client: "ServeClient",
-                 session: CampaignSession) -> None:
-        self._client = client
-        self.session = session
-
-    @property
-    def spec(self) -> TenantSpec:
-        """The submitted tenant spec."""
-        return self.session.spec
-
-    @property
-    def status(self) -> str:
-        """Current lifecycle state."""
-        return self.session.status
-
-    @property
-    def events(self) -> List[Dict[str, object]]:
-        """Structured events buffered so far."""
-        return self.session.events
-
-    def wait(self, timeout: Optional[float] = None):
-        """Block until the campaign finishes; returns its result."""
-        return self._client.wait(self.session, timeout=timeout)
-
-
-class ServeClient:
-    """Thread-backed synchronous client around a private server.
-
-    Spins the server's asyncio loop on a daemon thread so ordinary
-    (synchronous) callers — tests, the CLI, the soak tool — can
-    submit specs and wait on results without touching asyncio.
-    """
-
-    def __init__(self, **server_kwargs) -> None:
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-serve-loop", daemon=True
-        )
-        self._thread.start()
-        self.server = CampaignServer(**server_kwargs)
-        self._call(self.server.start())
-
-    def _run_loop(self) -> None:
-        """Loop-thread body."""
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    def _call(self, coro, timeout: Optional[float] = None):
-        """Run a coroutine on the server loop and wait for it."""
-        return asyncio.run_coroutine_threadsafe(
-            coro, self._loop
-        ).result(timeout)
-
-    # ------------------------------------------------------------------
-
-    def submit(self, spec: TenantSpec) -> SessionHandle:
-        """Admit and queue one tenant campaign."""
-        session = self._call(self.server.submit(spec))
-        return SessionHandle(self, session)
-
-    def wait(self, session, timeout: Optional[float] = None):
-        """Wait for a session (or handle) and return its result."""
-        if isinstance(session, SessionHandle):
-            session = session.session
-        return self._call(session.wait(), timeout=timeout)
-
-    def drain(self, cancel_queued: bool = False,
-              timeout: Optional[float] = None) -> None:
-        """Synchronous :meth:`CampaignServer.drain`."""
-        self._call(self.server.drain(cancel_queued), timeout=timeout)
-
-    def request_drain(self, cancel_queued: bool = True) -> None:
-        """Signal-handler-safe drain trigger (does not block).
-
-        A no-op once the loop is gone (a late signal during interpreter
-        shutdown must not raise from the handler).
-        """
-        coro = self.server.drain(cancel_queued)
-        try:
-            asyncio.run_coroutine_threadsafe(coro, self._loop)
-        except RuntimeError:
-            coro.close()
-
-    def stats(self) -> Dict[str, object]:
-        """Server summary (see :meth:`CampaignServer.stats`)."""
-        async def _stats():
-            return self.server.stats()
-
-        return self._call(_stats())
+        with self._cond:
+            live = Counter(
+                {QUEUED: len(self._pending), RUNNING: len(self._running)}
+            )
+            return {
+                "sessions": dict(self._finished + live),
+                "queued": len(self._pending),
+                "running": len(self._running),
+                "draining": self._draining,
+                "scheduler": self.scheduler.stats(),
+                "registry": self.registry.stats(),
+            }
 
     def close(self) -> None:
-        """Drain, stop the server, and tear the loop down."""
-        try:
-            self._call(self.server.close())
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10)
-            self._loop.close()
+        """Drain everything submitted (queued work still runs)."""
+        self.drain()

@@ -19,24 +19,28 @@ executes exactly the standalone code path, so
 ``tools/soak.py serve``) produces an equal ``CampaignResult``,
 measurement counters included.
 
-Streaming: each session's structured events (phase starts, probes,
+Events: each session's structured events (phase starts, probes,
 revelation verdicts, the final ``campaign.metrics`` record) are
-buffered on the session, optionally mirrored to a per-session JSONL
-file and to the server's combined tagged stream, and can be consumed
-live through :meth:`CampaignSession.stream`, which alone makes the
-session thread wake the server's loop (once per batch of records).
+buffered on the session and optionally mirrored, as they happen, to a
+per-session JSONL file (``events_path``) and to the server's combined
+tagged stream — the live tail of a running session.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
+from concurrent.futures import CancelledError
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.campaign.orchestrator import CampaignResult
-from repro.campaign.stack import campaign_for, checkpoint_for, probe_backend
+from repro.campaign.stack import (
+    campaign_for,
+    checkpoint_for,
+    probe_backend,
+    write_result,
+)
 from repro.obs import EventLog, JsonlSink, MetricsRegistry, Obs, Tracer
 from repro.probing.prober import Prober
 from repro.serve.registry import (
@@ -131,10 +135,10 @@ class _TaggedSink:
 class CampaignSession:
     """One tenant's campaign running under the server.
 
-    Created by :meth:`repro.serve.server.CampaignServer.submit`;
-    consumers hold it to await the result (:meth:`wait`), stream
-    events (:meth:`stream`), and read post-run state (``result``,
-    ``metrics``, ``grant_snapshot``).
+    Created by :meth:`repro.serve.server.ServeClient.submit`;
+    consumers hold it to wait for the result (:meth:`wait`) and read
+    post-run state (``events``, ``result``, ``metrics``,
+    ``grant_snapshot``).
     """
 
     def __init__(
@@ -142,7 +146,6 @@ class CampaignSession:
         spec: TenantSpec,
         registry: SnapshotRegistry,
         scheduler: FairScheduler,
-        loop: asyncio.AbstractEventLoop,
         shared_sink=None,
         shared_sink_lock: Optional[threading.Lock] = None,
     ) -> None:
@@ -161,67 +164,32 @@ class CampaignSession:
         self.topology_key = topology_key(spec.topology)
         self._registry = registry
         self._scheduler = scheduler
-        self._loop = loop
         self._shared_sink = shared_sink
         self._shared_sink_lock = shared_sink_lock
-        self._done_event = asyncio.Event()
-        #: Live stream consumers; whether a loop wake-up is pending.
-        self._listeners = 0
-        self._wake_pending = False
-        self._news = asyncio.Event()
+        #: Set by the server once the session is settled.
+        self._done = threading.Event()
 
-    # ------------------------------------------------------------------
-    # Consumer API (loop thread)
+    def wait(self, timeout: Optional[float] = None) -> CampaignResult:
+        """Block until the session is settled; return its result or
+        re-raise its failure.
 
-    async def wait(self) -> CampaignResult:
-        """Await completion; returns the result or re-raises the
-        session's failure."""
-        await self._done_event.wait()
+        Raises :class:`concurrent.futures.CancelledError` for a
+        session a drain cancelled before it started, and
+        :class:`TimeoutError` when ``timeout`` seconds pass first.
+        """
+        if not self._done.wait(timeout):
+            raise TimeoutError(
+                f"session {self.spec.tenant!r} still {self.status} "
+                f"after {timeout} s"
+            )
         if self.error is not None:
             raise self.error
         if self.status == CANCELLED:
-            raise asyncio.CancelledError(
+            raise CancelledError(
                 f"session {self.spec.tenant!r} was cancelled"
             )
         assert self.result is not None
         return self.result
-
-    async def stream(self):
-        """Yield structured event records live until completion.
-
-        Events already buffered are yielded first, so late consumers
-        see the full stream.
-        """
-        self._listeners += 1
-        try:
-            sent = 0
-            while True:
-                self._news.clear()
-                while sent < len(self.events):
-                    yield self.events[sent]
-                    sent += 1
-                if self._done_event.is_set():
-                    return
-                await self._news.wait()
-        finally:
-            self._listeners -= 1
-
-    # ------------------------------------------------------------------
-    # Event plumbing
-
-    def _on_event(self, record: Dict[str, object]) -> None:
-        """Buffer a record; wake live consumers (worker thread).
-        They re-read the buffer on waking, so one pending wake-up
-        covers every record appended before it runs."""
-        self.events.append(record)
-        if self._listeners and not self._wake_pending:
-            self._wake_pending = True
-            self._loop.call_soon_threadsafe(self._finalize_stream)
-
-    def _finalize_stream(self) -> None:
-        """Flush new records to :meth:`stream` consumers (loop thread)."""
-        self._wake_pending = False
-        self._news.set()
 
     # ------------------------------------------------------------------
     # Execution (worker thread)
@@ -229,13 +197,13 @@ class CampaignSession:
     def _run(self) -> CampaignResult:
         """Build the isolated stack and run the campaign.
 
-        Runs on an executor thread; everything it touches is either
+        Runs on a server worker thread; everything it touches is either
         session-private or explicitly thread-safe (registry lock,
         scheduler lock, tagged shared sink).
         """
         spec = self.spec
         events = EventLog()
-        events.attach(SimpleNamespace(write=self._on_event))
+        events.attach(SimpleNamespace(write=self.events.append))
         file_sink = None
         if spec.events_path is not None:
             file_sink = JsonlSink(spec.events_path)
@@ -261,6 +229,7 @@ class CampaignSession:
             result = campaign.run(
                 spec.targets(attached), checkpoint=checkpoint
             )
+            write_result(checkpoint, attached, campaign, result)
             events.emit(
                 "campaign.metrics",
                 counters=obs.metrics.counters_snapshot(),

@@ -139,10 +139,6 @@ class SyntheticInternet:
         """Ground-truth owner router."""
         return self.network.owner_of(address)
 
-    def is_transit_address(self, address: int) -> bool:
-        """True when the address belongs to an MPLS transit AS."""
-        return self.asn_of_address(address) in self.profiles
-
     def edge_routers(self, asn: int) -> List[Router]:
         """PE routers of a transit AS."""
         return [

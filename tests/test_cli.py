@@ -141,6 +141,14 @@ class TestCampaignOptions:
         "monitor --warehouse {wh} --scale 0.3 --epochs 1 --probe-budget -1",
         "monitor --warehouse {wh} --epochs 0",
         "fleet --warehouse {wh} --vantage-points 0",
+        "fleet --warehouse {wh} --chains 0",
+        "fleet --warehouse {wh} --restart-budget -1",
+        "fleet --warehouse {wh} --epoch-deadline 0",
+        "fleet --warehouse {wh} --backoff-base-ms -5",
+        "fleet --warehouse {wh} --backoff-base-ms nan",
+        "fleet --warehouse {wh} --alert-factor 0",
+        "fleet --warehouse {wh} --alert-factor inf",
+        "fleet --warehouse {wh} --alert-min-events -1",
         "serve --tenants 0",
         "serve --snapshots 0",
         "serve --probe-budget 0",

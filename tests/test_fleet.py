@@ -79,6 +79,19 @@ def _fleet_bytes(warehouse):
     return (Path(warehouse) / "fleet.json").read_bytes()
 
 
+class TestFleetConfig:
+    @pytest.mark.parametrize("field_name", [
+        "backoff_base_ms", "backoff_cap_ms",
+    ])
+    @pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf")])
+    def test_bad_backoff_rejected(self, tmp_path, field_name, value):
+        with pytest.raises(ValueError, match=field_name):
+            _fleet(tmp_path, **{field_name: value})
+
+    def test_zero_backoff_is_legal(self, tmp_path):
+        assert _fleet(tmp_path, backoff_base_ms=0.0).backoff_base_ms == 0.0
+
+
 # ---------------------------------------------------------------------------
 # 1. Copy-on-churn
 

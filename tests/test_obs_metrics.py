@@ -53,20 +53,6 @@ class TestHistogram:
     def test_empty_mean_is_zero(self):
         assert Histogram().mean == 0.0
 
-    def test_merge_same_bounds(self):
-        left = Histogram((1.0, 2.0))
-        right = Histogram((1.0, 2.0))
-        left.observe(0.5)
-        right.observe(1.5)
-        right.observe(99.0)
-        left.merge(right)
-        assert left.counts == [1, 1, 1]
-        assert left.count == 3
-
-    def test_merge_rejects_mismatched_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram((1.0,)).merge(Histogram((2.0,)))
-
     def test_registry_observe_reuses_histogram(self):
         registry = MetricsRegistry()
         registry.observe("trace.hops", 3, buckets=(2.0, 4.0))
@@ -77,18 +63,6 @@ class TestHistogram:
 
 
 class TestRegistryMerge:
-    def test_merge_adds_counters_and_histograms(self):
-        parent = MetricsRegistry()
-        child = MetricsRegistry()
-        parent.inc("probe.sent", 1)
-        child.inc("probe.sent", 2)
-        child.set_gauge("rtla.estimates", 4)
-        child.observe("trace.hops", 6, buckets=(4.0, 8.0))
-        parent.merge(child)
-        assert parent.get("probe.sent") == 3
-        assert parent.gauge("rtla.estimates") == 4
-        assert parent.histograms["trace.hops"].count == 1
-
     def test_reset_clears_everything(self):
         registry = MetricsRegistry()
         registry.inc("a")

@@ -8,11 +8,18 @@ admission turns unsafe specs away up front, and drain settles every
 submitted session.
 """
 
-import asyncio
+import os
+import signal
+import subprocess
+import sys
+import threading
 import time
+from concurrent.futures import CancelledError
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.net.topology import FrozenNetworkError
 from repro.obs import measurement_counters
 from repro.serve import (
@@ -287,7 +294,7 @@ class TestLifecycle:
                 handles.append(handle)
             client.drain(timeout=300)
             stats = client.stats()
-            assert client.server.sessions == []
+            assert client.sessions == []
             assert stats["sessions"] == {"done": 30}
             for handle in handles:
                 assert handle.wait(timeout=5).traces
@@ -297,59 +304,181 @@ class TestLifecycle:
             client.close()
 
 
-class TestLiveStream:
-    def test_late_consumer_gets_backlog_then_live_records(self):
-        """A consumer attaching mid-run receives exactly the
-        session's events, in order, and stops at completion."""
-        client = ServeClient(registry=SnapshotRegistry())
-        scheduler = client.server.scheduler
-        # A live lane that never probes sorts first at the floor, so
-        # the session blocks at its first probe until it retires.
-        scheduler.register("!hold")
+class TestThreadedServer:
+    @staticmethod
+    def hold(client):
+        """Open a live lane that never probes: it sorts first at the
+        floor, so running sessions block at their first probe until
+        it retires."""
+        client.scheduler.register("!hold")
+
+    @staticmethod
+    def until(predicate, what):
+        deadline = time.monotonic() + 60
+        while not predicate():
+            assert time.monotonic() < deadline, what
+            time.sleep(0.01)
+
+    def test_sigterm_while_waiting_cancels_queued(self):
+        client = ServeClient(registry=SnapshotRegistry(), max_active=1)
+        self.hold(client)
+        previous = signal.signal(
+            signal.SIGTERM,
+            lambda signum, frame: client.request_drain(cancel_queued=True),
+        )
+
+        def send_sigterm():
+            self.until(
+                lambda: client.scheduler.queue_depth() > 0,
+                "session never probed",
+            )
+            os.kill(os.getpid(), signal.SIGTERM)
+            self.until(
+                lambda: client.stats()["draining"], "SIGTERM not handled"
+            )
+            client.scheduler.retire("!hold")
+
+        killer = threading.Thread(target=send_sigterm, daemon=True)
         try:
-            handle = client.submit(small_spec("streamed"))
-            session = handle.session
-            deadline = time.monotonic() + 60
-            while scheduler.queue_depth() == 0:
-                assert time.monotonic() < deadline, "session never probed"
-                time.sleep(0.01)
+            handles = [
+                client.submit(small_spec(f"sig{i}")) for i in range(3)
+            ]
+            killer.start()
+            with pytest.raises(CancelledError):
+                handles[-1].wait(timeout=300)
+            killer.join(timeout=60)
+            assert not killer.is_alive()
+            stats = client.stats()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+            client.close()
+        assert [handle.status for handle in handles] == [
+            "done", "cancelled", "cancelled",
+        ]
+        assert stats["sessions"] == {"done": 1, "cancelled": 2}
+
+    def test_request_drain_under_server_lock_returns_at_once(self):
+        client = ServeClient(registry=SnapshotRegistry())
+        returned = threading.Event()
+
+        def drain_holding_lock():
+            with client._cond:
+                client.request_drain()
+                returned.set()
+
+        try:
+            handle = client.submit(small_spec("locked"))
+            threading.Thread(target=drain_holding_lock, daemon=True).start()
+            assert returned.wait(timeout=10)
+            assert handle.wait(timeout=300).traces
+            assert client.stats()["draining"]
+            with pytest.raises(AdmissionError):
+                client.submit(small_spec("late"))
+        finally:
+            client.close()
+
+    def test_wait_timeout_on_running_session(self):
+        client = ServeClient(registry=SnapshotRegistry())
+        self.hold(client)
+        try:
+            handle = client.submit(small_spec("slow"))
+            with pytest.raises(TimeoutError):
+                handle.wait(timeout=0.05)
             assert handle.status == "running"
+            client.scheduler.retire("!hold")
+            assert handle.wait(timeout=300).traces
+        finally:
+            client.close()
 
-            async def consume():
-                backlog = len(session.events)
-                asyncio.get_running_loop().call_soon(
-                    scheduler.retire, "!hold"
+    def test_concurrent_submitters_lose_no_update(self):
+        """More workers than cores, three submitting threads and a
+        short switch interval: every session is tallied once."""
+        client = ServeClient(registry=SnapshotRegistry(), max_active=6)
+        handles = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+        def submit_many(first):
+            for index in range(first, 24, 3):
+                handles.append(
+                    client.submit(small_spec(f"c{index:02d}", max_targets=1))
                 )
-                records = [record async for record in session.stream()]
-                return backlog, records
 
-            backlog, records = client._call(consume(), timeout=300)
-            handle.wait(timeout=300)
-        finally:
-            client.close()
-        assert backlog < len(records)
-        assert records == session.events
-        assert all(a is b for a, b in zip(records, session.events))
-        assert records[-1]["kind"] == "campaign.metrics"
-
-    def test_unstreamed_session_barely_touches_the_loop(self):
-        client = ServeClient(registry=SnapshotRegistry())
-        loop = client._loop
-        calls = []
-        schedule = loop.call_soon_threadsafe
-
-        def counting(callback, *args, **kwargs):
-            calls.append(callback)
-            return schedule(callback, *args, **kwargs)
-
-        loop.call_soon_threadsafe = counting
         try:
-            handle = client.submit(small_spec("quiet"))
-            handle.wait(timeout=300)
+            submitters = [
+                threading.Thread(target=submit_many, args=(first,))
+                for first in range(3)
+            ]
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            for handle in handles:
+                handle.wait(timeout=300)
+            client.drain(timeout=300)
+            stats = client.stats()
+        finally:
+            sys.setswitchinterval(interval)
+            client.close()
+        assert len(handles) == 24
+        assert stats["sessions"] == {"done": 24}
+        assert stats["registry"]["attaches"] == 24
+        assert client.obs.metrics.get("serve.sessions.completed") == 24
+        assert client.sessions == []
+
+    def test_serve_and_fleet_import_without_asyncio(self):
+        source = str(Path(repro.__file__).resolve().parents[1])
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.serve, repro.fleet; "
+             "print('asyncio' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": source},
+        )
+        assert probe.stdout.strip() == "False"
+
+
+class TestServedCheckpoint:
+    def test_resumed_served_snapshot_equals_cli_snapshot(self, tmp_path):
+        """A served tenant stopped by its budget, then resumed, lands
+        in the snapshot ``repro campaign --checkpoint`` writes for the
+        same spec, ``result.json`` included."""
+        from repro.experiments.common import CampaignContext, ContextConfig
+        from repro.store import CampaignStore
+
+        topology = TopologySpec(
+            scale=0.25, seed=11, vantage_points=2, stubs_per_transit=2
+        )
+        served = tmp_path / "served"
+        client = ServeClient(registry=SnapshotRegistry())
+        try:
+            partial = client.submit(
+                TenantSpec(
+                    tenant="stopped", topology=topology, probe_budget=150,
+                    checkpoint_dir=str(served),
+                )
+            ).wait(timeout=300)
+            assert partial.partial
+            resumed = client.submit(
+                TenantSpec(
+                    tenant="resumed", topology=topology,
+                    checkpoint_dir=str(served), resume=True,
+                )
+            ).wait(timeout=300)
+            assert not resumed.partial
         finally:
             client.close()
-        assert len(handle.events) > 50
-        assert len(calls) <= 8, calls
+        cli = tmp_path / "cli"
+        CampaignContext(
+            ContextConfig(topology=topology, checkpoint_dir=str(cli))
+        )
+        [served_snapshot] = CampaignStore(served).snapshots()
+        [cli_snapshot] = CampaignStore(cli).snapshots()
+        assert served_snapshot.path.name == cli_snapshot.path.name
+        assert served_snapshot.result_path.read_bytes() == (
+            cli_snapshot.result_path.read_bytes()
+        )
 
 
 class TestTopologyKey:

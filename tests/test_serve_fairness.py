@@ -99,7 +99,7 @@ class TestBudgetedTenant:
             partial = broke.wait(timeout=600)
             full = solvent.wait(timeout=600)
             stats = client.stats()
-            server_metrics = client.server.obs.metrics
+            server_metrics = client.obs.metrics
         finally:
             client.close()
         assert partial.partial
