@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import shlex
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import (
     fig01_degree,
@@ -61,13 +62,15 @@ from repro.experiments import (
     table6_applicability,
     tnt_crossval,
 )
+from repro.campaign.stack import RunSpec
 from repro.experiments.common import ContextConfig, campaign_context
 from repro.serve.registry import TopologySpec
 from repro.synth.gns3 import SCENARIOS, build_gns3
 
 __all__ = [
-    "EXPERIMENTS", "main", "non_negative", "non_negative_float",
-    "positive", "positive_float",
+    "EXPERIMENTS", "SPEC_FLAGS", "add_spec_flags", "main",
+    "non_negative", "non_negative_float", "positive", "positive_float",
+    "spec_from_args",
 ]
 
 #: Experiment id -> module with a ``run()`` returning ``.text``.
@@ -124,33 +127,142 @@ def non_negative_float(text):
     return value
 
 
-def _add_campaign_arguments(parser, fault_flags):
+#: Spec field -> ``(flag, type, metavar, help)``.  Every option that
+#: sets a field of a run spec (:class:`TopologySpec`, ``RunSpec`` and
+#: its ``TenantSpec``/``ChainSpec``/``FleetConfig`` views) is declared
+#: here once; commands and ``tools/soak.py`` pick theirs with
+#: :func:`add_spec_flags`, and :func:`spec_from_args` reads them back.
+SPEC_FLAGS: Dict[str, Tuple[str, object, Optional[str], str]] = {
+    # The measured network (TopologySpec).
+    "scale": ("--scale", positive_float, None, "AS size multiplier"),
+    "seed": ("--seed", int, None, "topology seed"),
+    "vantage_points": (
+        "--vantage-points", positive, None, "vantage point count"
+    ),
+    "stubs_per_transit": (
+        "--stubs-per-transit", positive, None, "stub ASes per transit AS"
+    ),
+    # The rest of the run's identity (RunSpec).
+    "fault_profile": (
+        "--fault-profile", None, "NAME",
+        "inject this chaos profile between the measurement service and "
+        "the simulator (see 'repro campaign --list'); serve, monitor "
+        "and fleet refuse network-mutating profiles",
+    ),
+    "max_retries": (
+        "--max-retries", non_negative, "N",
+        "re-probe unresponsive (*) hops up to N times",
+    ),
+    "breaker_threshold": (
+        "--breaker-threshold", non_negative, "N",
+        "consecutive ping losses before a target is parked until the "
+        "end of the phase (0 disables the breaker)",
+    ),
+    # Execution (RunSpec, TenantSpec).
+    "probe_budget": (
+        "--probe-budget", positive, "N",
+        "stop cleanly (partial result) after N probes, per tenant for "
+        "serve and per chain epoch for monitor and fleet",
+    ),
+    "max_targets": (
+        "--max-targets", positive, "N",
+        "truncate each tenant's target list to N targets",
+    ),
+    # Monitor chains (ChainSpec).
+    "epochs": (
+        "--epochs", positive, "N",
+        "monitoring epochs to run (epoch 0 is the baseline campaign)",
+    ),
+    "churn_profile": (
+        "--churn-profile", None, "NAME",
+        "shipped churn profile applied between epochs (see 'repro "
+        "monitor --list')",
+    ),
+    "churn_seed": (
+        "--churn-seed", int, "N",
+        "churn RNG seed (defaults to --seed); fleet chain i uses base+i",
+    ),
+    # Fleet supervision (FleetConfig).
+    "chains": (
+        "--chains", positive, "N",
+        "concurrent monitor chains, each over a private copy-on-churn "
+        "twin",
+    ),
+    "restart_budget": (
+        "--restart-budget", non_negative, "N",
+        "deaths tolerated per chain before it is parked (parking "
+        "downgrades the fleet grade, never fails the run)",
+    ),
+    "epoch_deadline": (
+        "--epoch-deadline", positive, "N",
+        "watchdog: kill and restart any epoch that submits more than "
+        "N probes (simulated clock — probe ticks)",
+    ),
+    "backoff_base_ms": (
+        "--backoff-base-ms", non_negative_float, "MS",
+        "base for the exponential restart backoff",
+    ),
+    "alert_factor": (
+        "--alert-factor", positive_float, "X",
+        "churn-spike alert when a transition's lifecycle-event count "
+        "exceeds X times the chain's trailing baseline",
+    ),
+    "alert_min_events": (
+        "--alert-min-events", non_negative, "N",
+        "minimum lifecycle events before a spike can alert",
+    ),
+}
+
+#: The :class:`TopologySpec` fields a command line can set.
+TOPOLOGY_FLAGS = ("scale", "seed", "vantage_points", "stubs_per_transit")
+
+#: The flags that key a run's snapshot (the topology's and
+#: :data:`RunSpec.IDENTITY`'s), in :data:`SPEC_FLAGS` order.
+IDENTITY_FLAGS = TOPOLOGY_FLAGS + tuple(
+    name for name in RunSpec.IDENTITY if name in SPEC_FLAGS
+)
+
+
+def add_spec_flags(parser, aliases=None, **defaults):
+    """Declare the :data:`SPEC_FLAGS` options named in ``defaults``, in
+    that order, with those defaults; ``aliases`` maps a field to extra
+    spellings of its flag."""
+    for name, default in defaults.items():
+        flag, kind, metavar, text = SPEC_FLAGS[name]
+        parser.add_argument(
+            flag, *(aliases or {}).get(name, ()), dest=name, type=kind,
+            metavar=metavar, default=default, help=text,
+        )
+    return parser
+
+
+def spec_from_args(cls, args: argparse.Namespace, **values):
+    """``cls`` built from the :data:`SPEC_FLAGS` options ``args``
+    carries plus ``values``, which win; a nested ``topology`` is built
+    the same way.  A flag left at None keeps the field's default."""
+    names = {spec_field.name for spec_field in dataclasses.fields(cls)}
+    if "topology" in names and "topology" not in values:
+        values["topology"] = spec_from_args(TopologySpec, args)
+    for name in names & SPEC_FLAGS.keys() & vars(args).keys():
+        value = getattr(args, name)
+        if name == "breaker_threshold":
+            value = value or None  # the flag's 0 disables the breaker
+        if value is not None:
+            values.setdefault(name, value)
+    return cls(**values)
+
+
+def _add_campaign_arguments(parser, aliases=None):
     """The ``campaign`` options (shared by its ``chaos`` alias)."""
-    parser.add_argument("--scale", type=positive_float, default=1.0)
-    parser.add_argument("--seed", type=int, default=2017)
-    parser.add_argument("--vantage-points", type=positive, default=8)
-    parser.add_argument(
-        "--probe-budget", type=positive, default=None, metavar="N",
-        help="stop cleanly (partial result) after N probes",
-    )
-    parser.add_argument(
-        "--max-retries", type=non_negative, default=0, metavar="N",
-        help="re-probe unresponsive (*) hops up to N times",
-    )
-    parser.add_argument(
-        *fault_flags, dest="fault_profile", metavar="NAME", default=None,
-        help="inject this chaos profile between the measurement "
-        "service and the simulator (see --list)",
+    add_spec_flags(
+        parser, aliases, scale=1.0, seed=2017, vantage_points=8,
+        probe_budget=None, max_retries=0, fault_profile=None,
     )
     parser.add_argument(
         "--list", action="store_true", dest="list_profiles",
         help="list shipped fault profiles and exit",
     )
-    parser.add_argument(
-        "--breaker-threshold", type=non_negative, default=0, metavar="N",
-        help="consecutive ping losses before a target is parked "
-        "until the end of the phase (0 disables the breaker)",
-    )
+    add_spec_flags(parser, breaker_threshold=0)
     store_group = parser.add_mutually_exclusive_group()
     store_group.add_argument(
         "--checkpoint", metavar="DIR", default=None,
@@ -208,47 +320,11 @@ def _add_campaign_arguments(parser, fault_flags):
 def _add_chain_arguments(parser):
     """The chain options ``monitor`` and ``fleet`` share (the
     :class:`~repro.monitor.loop.ChainSpec` fields)."""
-    parser.add_argument(
-        "--epochs", type=positive, default=3, metavar="N",
-        help="monitoring epochs to run (epoch 0 is the baseline "
-        "full campaign)",
+    add_spec_flags(
+        parser, epochs=3, scale=0.3, seed=2017, vantage_points=4,
+        stubs_per_transit=3, churn_profile="gentle", churn_seed=None,
+        fault_profile=None, probe_budget=None,
     )
-    parser.add_argument("--scale", type=positive_float, default=0.3)
-    parser.add_argument("--seed", type=int, default=2017)
-    parser.add_argument("--vantage-points", type=positive, default=4)
-    parser.add_argument("--stubs-per-transit", type=positive, default=3)
-    parser.add_argument(
-        "--churn-profile", default="gentle", metavar="NAME",
-        help="shipped churn profile applied between epochs "
-        "(see 'repro monitor --list')",
-    )
-    parser.add_argument(
-        "--churn-seed", type=int, default=None, metavar="N",
-        help="churn RNG seed (defaults to --seed); fleet chain i "
-        "uses base+i",
-    )
-    parser.add_argument(
-        "--fault-profile", metavar="NAME", default=None,
-        help="non-mutating chaos profile injected under every epoch "
-        "(flap profiles are refused — churn owns the topology)",
-    )
-    parser.add_argument(
-        "--probe-budget", type=positive, default=None, metavar="N",
-        help="per-epoch campaign probe budget per chain; exhausting "
-        "it stops the chain with a resumable partial epoch",
-    )
-
-
-def _chain_fields(args: argparse.Namespace) -> Dict[str, object]:
-    """The :func:`_add_chain_arguments` values, as config fields."""
-    return {
-        name: getattr(args, name)
-        for name in (
-            "epochs", "scale", "seed", "vantage_points",
-            "stubs_per_transit", "churn_profile", "churn_seed",
-            "fault_profile", "probe_budget",
-        )
-    }
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -278,8 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_campaign_arguments(
         sub.add_parser(
             "campaign", help="run the synthetic-Internet campaign"
-        ),
-        ("--fault-profile",),
+        )
     )
     # The chaos alias: the campaign command with chaos defaults.
     _add_campaign_arguments(
@@ -288,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="alias: repro campaign under an injected fault "
             "profile (hostile by default)",
         ),
-        ("--fault-profile", "--profile"),
+        aliases={"fault_profile": ("--profile",)},
     ).set_defaults(
         fault_profile="hostile",
         scale=0.5,
@@ -306,22 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the experiment's structured document as "
         "JSON (experiments without one fail with an error)",
     )
-    experiment.add_argument(
-        "--scale", type=positive_float, default=None,
-        help="AS size multiplier for context-driven experiments "
-        "(those whose run() takes a ContextConfig)",
-    )
-    experiment.add_argument(
-        "--seed", type=int, default=None,
-        help="topology seed for context-driven experiments",
-    )
-    experiment.add_argument(
-        "--vantage-points", type=positive, default=None,
-        help="vantage point count for context-driven experiments",
-    )
-    experiment.add_argument(
-        "--stubs-per-transit", type=positive, default=None,
-        help="stub AS fan-out for context-driven experiments",
+    # Topology overrides for the experiments whose run() takes a
+    # ContextConfig.
+    add_spec_flags(
+        experiment, scale=None, seed=None, vantage_points=None,
+        stubs_per_transit=None,
     )
 
     diff = sub.add_parser(
@@ -399,10 +463,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="distinct topology seeds the tenants are spread over "
         "(each is rendered once and shared)",
     )
-    serve.add_argument("--scale", type=positive_float, default=0.3)
-    serve.add_argument("--seed", type=int, default=2017)
-    serve.add_argument("--vantage-points", type=positive, default=3)
-    serve.add_argument("--stubs-per-transit", type=positive, default=2)
+    add_spec_flags(
+        serve, scale=0.3, seed=2017, vantage_points=3,
+        stubs_per_transit=2,
+    )
     serve.add_argument(
         "--max-active", type=positive, default=4,
         help="sessions running concurrently (each holds one worker "
@@ -413,19 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated fair-scheduler weights cycled over the "
         "tenants (default: equal)",
     )
-    serve.add_argument(
-        "--probe-budget", type=positive, default=None, metavar="N",
-        help="per-tenant probe budget (clean partial result when hit)",
-    )
-    serve.add_argument(
-        "--fault-profile", metavar="NAME", default=None,
-        help="chaos profile injected per tenant; network-mutating "
-        "profiles are refused on shared snapshots (see 'repro "
-        "campaign --list')",
-    )
-    serve.add_argument(
-        "--max-targets", type=positive, default=None, metavar="N",
-        help="truncate each tenant's target list to N targets",
+    add_spec_flags(
+        serve, probe_budget=None, fault_profile=None, max_targets=None
     )
     serve.add_argument(
         "--events-out", metavar="PATH", default=None,
@@ -448,26 +501,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="warehouse root shared by every chain; the folded "
         "repro.fleet/1 aggregate is written there as fleet.json",
     )
-    fleet.add_argument(
-        "--chains", type=positive, default=3, metavar="N",
-        help="concurrent monitor chains (chain i churns with seed "
-        "base+i over a private copy-on-churn twin)",
-    )
+    add_spec_flags(fleet, chains=3)
     _add_chain_arguments(fleet)
-    fleet.add_argument(
-        "--restart-budget", type=non_negative, default=3, metavar="N",
-        help="deaths tolerated per chain before it is parked "
-        "(parking downgrades the fleet grade, never fails the run)",
-    )
-    fleet.add_argument(
-        "--epoch-deadline", type=positive, default=None, metavar="N",
-        help="watchdog: kill and restart any epoch that submits "
-        "more than N probes (simulated clock — probe ticks)",
-    )
-    fleet.add_argument(
-        "--backoff-base-ms", type=non_negative_float, default=25.0,
-        metavar="MS",
-        help="base for the exponential restart backoff",
+    add_spec_flags(
+        fleet, restart_budget=3, epoch_deadline=None,
+        backoff_base_ms=25.0,
     )
     fleet.add_argument(
         "--kill-chain", action="append", default=None,
@@ -477,15 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "The chain restarts from its checkpoints and must converge "
         "byte-identically",
     )
-    fleet.add_argument(
-        "--alert-factor", type=positive_float, default=2.0, metavar="X",
-        help="churn-spike alert when a transition's lifecycle-event "
-        "count exceeds X times the chain's trailing baseline",
-    )
-    fleet.add_argument(
-        "--alert-min-events", type=non_negative, default=2, metavar="N",
-        help="minimum lifecycle events before a spike can alert",
-    )
+    add_spec_flags(fleet, alert_factor=2.0, alert_min_events=2)
     fleet.add_argument(
         "--resume", action="store_true",
         help="continue a fleet whose warehouse already holds a "
@@ -544,13 +574,13 @@ def _cmd_emulate(args: argparse.Namespace) -> int:
 
 def _resume_command(args: argparse.Namespace) -> str:
     """The ``repro campaign`` command line keying this run's snapshot
-    (the resume hint's prefix)."""
+    (the resume hint's prefix): the identity flags the command
+    declares."""
     words = ["repro", "campaign"]
-    for name in ("scale", "seed", "vantage_points", "fault_profile",
-                 "max_retries", "breaker_threshold"):
-        value = getattr(args, name)
+    for name in IDENTITY_FLAGS:
+        value = getattr(args, name, None)
         if value is not None:
-            words += ["--" + name.replace("_", "-"), str(value)]
+            words += [SPEC_FLAGS[name][0], str(value)]
     return shlex.join(words)
 
 
@@ -601,28 +631,24 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+    from repro.measure.replay import ReplayMiss
     from repro.store import StoreMismatch
 
+    try:
+        config = spec_from_args(
+            ContextConfig, args,
+            record_path=args.record,
+            replay_path=args.replay,
+            checkpoint_dir=args.resume or args.checkpoint,
+            resume=args.resume is not None,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     with _event_trace(args.trace_out) as traced:
         try:
-            context = campaign_context(
-                ContextConfig(
-                    topology=TopologySpec(
-                        scale=args.scale,
-                        seed=args.seed,
-                        vantage_points=args.vantage_points,
-                    ),
-                    probe_budget=args.probe_budget,
-                    max_retries=args.max_retries,
-                    breaker_threshold=args.breaker_threshold or None,
-                    record_path=args.record,
-                    replay_path=args.replay,
-                    checkpoint_dir=args.resume or args.checkpoint,
-                    resume=args.resume is not None,
-                    fault_profile=args.fault_profile,
-                )
-            )
-        except StoreMismatch as exc:
+            context = campaign_context(config)
+        except (StoreMismatch, ReplayMiss) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         traced.append(context.internet.engine.obs.metrics)
@@ -740,17 +766,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     module = EXPERIMENTS[args.id]
-    overrides = {
-        key: value
-        for key, value in (
-            ("scale", args.scale),
-            ("seed", args.seed),
-            ("vantage_points", args.vantage_points),
-            ("stubs_per_transit", args.stubs_per_transit),
-        )
-        if value is not None
-    }
-    if overrides:
+    if any(getattr(args, name) is not None for name in TOPOLOGY_FLAGS):
         import inspect
 
         if "config" not in inspect.signature(module.run).parameters:
@@ -760,9 +776,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        result = module.run(
-            ContextConfig(topology=TopologySpec(**overrides))
-        )
+        result = module.run(spec_from_args(ContextConfig, args))
     else:
         result = module.run()
     print(result.text)
@@ -830,10 +844,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     with _event_trace(args.trace_out) as traced:
         try:
             loop = MonitorLoop(
-                MonitorConfig(
+                spec_from_args(
+                    MonitorConfig, args,
                     warehouse=args.warehouse,
                     incremental=not args.full,
-                    **_chain_fields(args),
                 )
             )
             # The closing counters carry the monitor.* family.
@@ -892,15 +906,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     try:
         kill_plan = _parse_kill_plan(args.kill_chain)
-        config = FleetConfig(
-            warehouse=args.warehouse,
-            chains=args.chains,
-            restart_budget=args.restart_budget,
-            epoch_deadline=args.epoch_deadline,
-            backoff_base_ms=args.backoff_base_ms,
-            alert_factor=args.alert_factor,
-            alert_min_events=args.alert_min_events,
-            **_chain_fields(args),
+        config = spec_from_args(
+            FleetConfig, args, warehouse=args.warehouse
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1000,22 +1007,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.obs import JsonlSink
 
         sink = JsonlSink(args.events_out)
+    topology = spec_from_args(TopologySpec, args)
     client = ServeClient(max_active=args.max_active, stream_sink=sink)
     try:
         handles = []
         for index in range(args.tenants):
-            spec = TenantSpec(
+            spec = spec_from_args(
+                TenantSpec, args,
                 tenant=f"tenant-{index:02d}",
-                topology=TopologySpec(
-                    scale=args.scale,
-                    seed=args.seed + index % args.snapshots,
-                    vantage_points=args.vantage_points,
-                    stubs_per_transit=args.stubs_per_transit,
+                topology=dataclasses.replace(
+                    topology, seed=args.seed + index % args.snapshots
                 ),
                 weight=weights[index],
-                probe_budget=args.probe_budget,
-                fault_profile=args.fault_profile,
-                max_targets=args.max_targets,
             )
             try:
                 handles.append(client.submit(spec))

@@ -207,18 +207,6 @@ class ForwardingEngine:
             if self._events.debug:
                 self._events.emit("cache.flush", DEBUG, dropped=dropped)
 
-    def cache_stats(self) -> Dict[str, object]:
-        """Trajectory-cache effectiveness counters, as one dict."""
-        total = self.trajectory_hits + self.trajectory_misses
-        return {
-            "trajectory_hits": self.trajectory_hits,
-            "trajectory_misses": self.trajectory_misses,
-            "hit_rate": self.trajectory_hits / total if total else 0.0,
-            "cached_trajectories": len(self._trajectories),
-            "hops_walked": self.hops_walked,
-            "packets_simulated": self.packets_simulated,
-        }
-
     # ------------------------------------------------------------------
     # Public API
 

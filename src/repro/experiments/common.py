@@ -11,21 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.campaign.orchestrator import CampaignResult
+from repro.campaign.orchestrator import CampaignConfig, CampaignResult
 from repro.campaign.postprocess import Aggregator
-from repro.campaign.stack import (
-    campaign_for,
-    checkpoint_for,
-    probe_backend,
-    write_result,
-)
+from repro.campaign.stack import RunSpec, probe_backend, write_result
 from repro.core.frpla import FrplaAnalyzer
 from repro.measure import RecordingBackend, ReplayBackend
 from repro.probing.prober import Prober
 from repro.serve.registry import (
-    TopologySpec,
     default_registry,
     render_internet,
 )
@@ -39,42 +33,47 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ContextConfig:
-    """Parameters for a reusable campaign context.
+class ContextConfig(RunSpec):
+    """Parameters for a reusable campaign context: the shared
+    :class:`~repro.campaign.stack.RunSpec` fields plus the CLI's probe
+    log and revelation technique."""
 
-    The same shape as :class:`~repro.serve.session.TenantSpec`: the
-    measured network is a :class:`TopologySpec`, and the campaign
-    policy fields map to the orchestrator through
-    :mod:`repro.campaign.stack`.
-    """
-
-    topology: TopologySpec = TopologySpec()
-    #: Global probe budget; None = unlimited (partial results when hit).
-    probe_budget: Optional[int] = None
-    max_retries: int = 0  #: per-probe retries on timeout
     #: Record every probe exchange to this JSONL probe log.
     record_path: Optional[str] = None
     #: Serve every probe from this probe log instead of the simulator.
     replay_path: Optional[str] = None
-    #: Campaign warehouse root: checkpoint the run under this
-    #: directory (see :mod:`repro.store`), making interruptions
-    #: resumable and the snapshot diffable with ``repro diff``.
-    checkpoint_dir: Optional[str] = None
-    #: Resume the interrupted run checkpointed in ``checkpoint_dir``
-    #: instead of starting fresh (bit-identical to an uninterrupted
-    #: run).
-    resume: bool = False
-    #: Inject this shipped chaos profile (see
-    #: :data:`repro.faults.FAULT_PROFILES`) between the measurement
-    #: service and the simulator; None measures cleanly.
-    fault_profile: Optional[str] = None
-    #: Circuit-breaker threshold for the campaign's ping phase
-    #: (consecutive losses before a target is parked); None disables.
-    breaker_threshold: Optional[int] = None
     #: Run revelation through this registry technique's trigger and
     #: strategy (e.g. ``"tnt"``) instead of the classic combined
-    #: recursion; None keeps the paper's untriggered behaviour.
+    #: recursion; None keeps the paper's untriggered behaviour.  It
+    #: changes what is measured, so it keys the snapshot too.
     revelation_technique: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.record_path is not None and self.resume:
+            # A resumed run probes only the remainder, so its log could
+            # never be replayed from the start.
+            raise ValueError(
+                "cannot record a resumed run: the probe log would hold "
+                "only the exchanges after the checkpoint; record a "
+                "fresh run instead"
+            )
+
+    def campaign_config(self, internet, **extra) -> CampaignConfig:
+        """The spec's orchestrator config, revelation technique
+        included."""
+        return super().campaign_config(
+            internet, revelation_technique=self.revelation_technique,
+            **extra,
+        )
+
+    def checkpoint_topology(self) -> Dict[str, object]:
+        """The spec's snapshot descriptor, stamped with the revelation
+        technique when one is set."""
+        descriptor = super().checkpoint_topology()
+        if self.revelation_technique is not None:
+            descriptor["revelation_technique"] = self.revelation_technique
+        return descriptor
 
 
 class CampaignContext:
@@ -102,15 +101,8 @@ class CampaignContext:
             # content key.
             self.internet = default_registry().attach(config.topology)
         prober, recording = self._build_prober(config)
-        self.campaign = campaign_for(
-            config,
-            self.internet,
-            prober,
-            revelation_technique=config.revelation_technique,
-        )
-        checkpoint = checkpoint_for(
-            config, revelation_technique=config.revelation_technique
-        )
+        self.campaign = config.campaign_for(self.internet, prober)
+        checkpoint = config.checkpoint_for()
         try:
             self.result: CampaignResult = self.campaign.run(
                 self.internet.campaign_targets(),

@@ -21,7 +21,7 @@ uses to assert that revelation recall degrades monotonically.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 __all__ = [
@@ -155,32 +155,6 @@ class FaultProfile:
         network mid-run (such a run needs a private, unfrozen
         topology: no shared snapshot, no monitor churn model)."""
         return bool(self.flaps)
-
-    # ------------------------------------------------------------------
-
-    def to_wire(self) -> Dict[str, object]:
-        """JSON-ready form (flaps become lists)."""
-        wire = asdict(self)
-        wire["flaps"] = [list(flap) for flap in self.flaps]
-        return wire
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, object]) -> "FaultProfile":
-        """Rebuild a profile from :meth:`to_wire` output; unknown
-        keys are rejected so typos in hand-written profiles fail
-        loudly."""
-        known = {entry.name for entry in fields(cls)}
-        unknown = set(wire) - known
-        if unknown:
-            raise ValueError(
-                f"unknown fault-profile fields: {sorted(unknown)}"
-            )
-        data = dict(wire)
-        data["flaps"] = tuple(
-            (int(position), str(action))
-            for position, action in data.get("flaps", ())
-        )
-        return cls(**data)
 
 
 #: Shipped chaos scenarios, each mapped to a paper failure class (the

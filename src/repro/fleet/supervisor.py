@@ -191,6 +191,7 @@ class FleetConfig(ChainSpec):
     alert_min_events: int = 2
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.chains < 1:
             raise ValueError("fleet needs at least one chain")
         if self.restart_budget < 0:
@@ -246,7 +247,7 @@ class ChainWorker:
             kill_after=kill_after,
             epoch_deadline=config.epoch_deadline,
         )
-        twin = registry.checkout(config.topology_spec())
+        twin = registry.checkout(config.run_spec().topology)
         self.loop = MonitorLoop(
             self.monitor_config,
             internet=twin,

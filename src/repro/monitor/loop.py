@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.campaign.orchestrator import Campaign, CampaignConfig
-from repro.campaign.stack import probe_backend, write_result
+from repro.campaign.stack import RunSpec, probe_backend, write_result
 from repro.core.revelation import Revelation, RevelationMethod
 from repro.monitor.staleness import StalenessEngine, StalenessReport
 from repro.obs import Obs
@@ -49,7 +49,6 @@ from repro.serve.registry import (
     TopologySpec,
     internet_config,
     render_internet,
-    snapshot_descriptor,
 )
 from repro.store import (
     CampaignCheckpoint,
@@ -80,9 +79,13 @@ def chain_id(config: "MonitorConfig") -> str:
 
     A pure function of the config so a fleet supervisor can name a
     chain (for parked/drained ledger rows and warehouse grouping)
-    without paying an ``internet_build``.  Execution knobs
-    (``probe_budget``, batching) stay out, so an interrupted chain
-    resumes into the same snapshots.
+    without paying an ``internet_build``.  Besides the topology and
+    churn fields it stamps the chain's run-spec identity fields that
+    differ from their defaults (:meth:`RunSpec.stamped_identity`), so
+    chains that key different snapshots never share an id while
+    default chains keep theirs.  Execution knobs (``probe_budget``,
+    batching) stay out, so an interrupted chain resumes into the same
+    snapshots.
     """
     profile = config.churn_profile
     profile_name = (
@@ -101,8 +104,7 @@ def chain_id(config: "MonitorConfig") -> str:
         ),
         "incremental": config.incremental,
     }
-    if config.fault_profile is not None:
-        identity["fault_profile"] = config.fault_profile
+    identity.update(config.run_spec().stamped_identity())
     if config.te_tunnels_per_transit:
         identity["te_tunnels_per_transit"] = (
             config.te_tunnels_per_transit
@@ -129,11 +131,12 @@ class ChainSpec:
 
     :class:`MonitorConfig` (one chain) and
     :class:`~repro.fleet.supervisor.FleetConfig` (N chains over one
-    render) both extend it.  The identity-relevant subset (topology
-    knobs, seeds, churn profile, fault profile, incremental flag) is
-    hashed into the chain id; execution knobs (``probe_budget``)
-    deliberately are not, so an interrupted chain resumes into the
-    same snapshots.
+    render) both extend it.  The topology and campaign-policy fields
+    are a flat copy of a :class:`~repro.campaign.stack.RunSpec`
+    (:meth:`run_spec`); its identity fields, the seeds, the churn
+    profile and the incremental flag are hashed into the chain id,
+    while execution knobs (``probe_budget``) deliberately are not, so
+    an interrupted chain resumes into the same snapshots.
     """
 
     warehouse: str
@@ -161,15 +164,27 @@ class ChainSpec:
     te_tunnels_per_transit: int = 0
     te_ttl_propagate: bool = False
 
-    def topology_spec(self) -> TopologySpec:
-        """The topology every epoch of the chain measures."""
-        return TopologySpec(
-            scale=self.scale,
-            seed=self.seed,
-            vantage_points=self.vantage_points,
-            stubs_per_transit=self.stubs_per_transit,
-            te_tunnels_per_transit=self.te_tunnels_per_transit,
-            te_ttl_propagate=self.te_ttl_propagate,
+    def __post_init__(self) -> None:
+        self.run_spec()  # the run spec's range checks
+
+    def run_spec(self) -> RunSpec:
+        """The chain's run spec: the topology every epoch measures,
+        its campaign policy, and the warehouse as checkpoint root
+        (each epoch resumes its own snapshot when it has records)."""
+        return RunSpec(
+            topology=TopologySpec(
+                scale=self.scale,
+                seed=self.seed,
+                vantage_points=self.vantage_points,
+                stubs_per_transit=self.stubs_per_transit,
+                te_tunnels_per_transit=self.te_tunnels_per_transit,
+                te_ttl_propagate=self.te_ttl_propagate,
+            ),
+            fault_profile=self.fault_profile,
+            max_retries=self.max_retries,
+            breaker_threshold=self.breaker_threshold,
+            probe_budget=self.probe_budget,
+            checkpoint_dir=self.warehouse,
         )
 
 
@@ -267,6 +282,7 @@ class MonitorLoop:
         stop_before_epoch=None,
     ) -> None:
         self.config = config
+        self.spec = config.run_spec()
         profile = config.churn_profile
         self.profile: ChurnProfile = (
             churn_profile(profile)
@@ -283,7 +299,7 @@ class MonitorLoop:
                     "topology — use a non-flap profile"
                 )
         if internet is None:
-            internet = render_internet(config.topology_spec())
+            internet = render_internet(self.spec.topology)
         else:
             self._check_injected(internet)
         self.internet = internet
@@ -321,7 +337,7 @@ class MonitorLoop:
                 "copy-on-churn twin (SnapshotRegistry.checkout or "
                 "repro fleet) instead"
             )
-        expected = internet_config(self.config.topology_spec())
+        expected = internet_config(self.spec.topology)
         if internet.config != expected:
             mismatched = ", ".join(
                 name
@@ -331,7 +347,7 @@ class MonitorLoop:
             raise ValueError(
                 "injected internet disagrees with the monitor config "
                 f"({mismatched}); check out the twin of "
-                "config.topology_spec()"
+                "config.run_spec().topology"
             )
 
     # ------------------------------------------------------------------
@@ -339,10 +355,7 @@ class MonitorLoop:
 
     def _topology_descriptor(self, epoch: int) -> Dict[str, object]:
         """The snapshot topology stamp for ``epoch``."""
-        descriptor = snapshot_descriptor(
-            self.config.topology_spec(),
-            fault_profile=self.config.fault_profile,
-        )
+        descriptor = self.spec.checkpoint_topology()
         # Stored chains never carried this field (monitor renders are
         # always the invisible default), so it stays out of their keys.
         del descriptor["ttl_propagate_everywhere"]
@@ -393,17 +406,15 @@ class MonitorLoop:
         self, carried: Tuple[Tuple[int, int], ...]
     ) -> CampaignConfig:
         """The epoch's campaign config (budget made absolute)."""
-        budget = self.config.probe_budget
+        budget = self.spec.probe_budget
         if budget is not None:
             # Service budgets compare against the cumulative probe
             # counter, which spans epochs here — offset so the limit
             # covers this epoch's own campaign probes.
             budget = self.prober.probes_sent + budget
-        return CampaignConfig(
-            suspicious_asns=tuple(self.internet.transit_asns),
+        return self.spec.campaign_config(
+            self.internet,
             probe_budget=budget,
-            max_retries=self.config.max_retries,
-            breaker_threshold=self.config.breaker_threshold,
             carried_pairs=carried or None,
         )
 

@@ -51,7 +51,6 @@ __all__ = [
     "default_registry",
     "internet_config",
     "render_internet",
-    "snapshot_descriptor",
     "topology_key",
 ]
 
@@ -60,8 +59,10 @@ __all__ = [
 class TopologySpec:
     """Everything that determines a rendered internet's topology.
 
-    The one owner of run identity: :func:`internet_config` renders
-    it and :func:`snapshot_descriptor` stamps the warehouse
+    The network half of run identity (a
+    :class:`~repro.campaign.stack.RunSpec` holds the rest):
+    :func:`internet_config` renders it and
+    :meth:`RunSpec.checkpoint_topology` stamps it into the warehouse
     descriptor every front end keys snapshots on.  Execution knobs
     such as budgets deliberately stay out, because they configure
     *attachments*, not the shared render.
@@ -111,23 +112,6 @@ def topology_key(spec: TopologySpec) -> str:
             spec.descriptor(), sort_keys=True, separators=(",", ":")
         ).encode("ascii")
     ).hexdigest()
-
-
-def snapshot_descriptor(
-    spec: TopologySpec,
-    fault_profile: Optional[str] = None,
-    revelation_technique: Optional[str] = None,
-) -> Dict[str, object]:
-    """The warehouse topology descriptor every front end keys its
-    checkpoints on.  A fault profile or a revelation technique
-    changes what is measured, so each is stamped — but only when
-    set, keeping clean-run keys unchanged across versions."""
-    descriptor = spec.descriptor()
-    if fault_profile is not None:
-        descriptor["fault_profile"] = fault_profile
-    if revelation_technique is not None:
-        descriptor["revelation_technique"] = revelation_technique
-    return descriptor
 
 
 def internet_config(spec: TopologySpec) -> InternetConfig:

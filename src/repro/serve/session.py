@@ -3,9 +3,9 @@
 A :class:`TenantSpec` is everything a tenant submits: which topology
 to measure (a :class:`~repro.serve.registry.TopologySpec`, resolved
 through the shared snapshot registry), its scheduler weight, and the
-campaign policy knobs the standalone CLI already exposes (probe
-budget, retries, chaos profile, circuit breaker, warehouse
-checkpoint).
+rest of the :class:`~repro.campaign.stack.RunSpec` the standalone CLI
+shares (probe budget, retries, chaos profile, circuit breaker,
+warehouse checkpoint).
 
 A :class:`CampaignSession` runs the **unmodified**
 :class:`~repro.campaign.orchestrator.Campaign` in a worker thread
@@ -35,19 +35,12 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.campaign.orchestrator import CampaignResult
-from repro.campaign.stack import (
-    campaign_for,
-    checkpoint_for,
-    probe_backend,
-    write_result,
-)
+from repro.campaign.stack import RunSpec, probe_backend, write_result
 from repro.obs import EventLog, JsonlSink, MetricsRegistry, Obs, Tracer
 from repro.probing.prober import Prober
 from repro.serve.registry import (
     SnapshotRegistry,
-    TopologySpec,
     render_internet,
-    snapshot_descriptor,
     topology_key,
 )
 from repro.serve.scheduler import FairScheduler, ScheduledBackend
@@ -76,38 +69,32 @@ class AdmissionError(ValueError):
 
 
 @dataclass(frozen=True)
-class TenantSpec:
-    """One tenant's campaign request."""
+class TenantSpec(RunSpec):
+    """One tenant's campaign request: the shared
+    :class:`~repro.campaign.stack.RunSpec` fields (same snapshot keys
+    as ``repro campaign --checkpoint/--resume``) plus the tenant's
+    name, scheduler weight, target cut and event file.  Chaos
+    profiles that mutate the network are refused on shared
+    snapshots."""
 
-    tenant: str
-    topology: TopologySpec = TopologySpec()
+    #: The tenant's name (required; a default only so the field can
+    #: follow the spec's defaulted fields).
+    tenant: str = ""
     #: Fair-scheduler weight: probes granted per unit virtual time,
     #: relative to other tenants.
     weight: float = 1.0
-    #: Global probe budget (clean partial result when exhausted).
-    probe_budget: Optional[int] = None
-    max_retries: int = 0
-    #: Shipped chaos profile injected for this tenant only; profiles
-    #: that mutate the network are refused on shared snapshots.
-    fault_profile: Optional[str] = None
-    breaker_threshold: Optional[int] = None
-    #: Warehouse root for checkpoint/resume (same machinery and
-    #: snapshot keys as ``repro campaign --checkpoint/--resume``).
-    checkpoint_dir: Optional[str] = None
-    resume: bool = False
     #: Truncate the campaign target list (soak/test sizing knob);
     #: None probes every campaign target.
     max_targets: Optional[int] = None
     #: Mirror this session's events to a JSONL file at this path.
     events_path: Optional[str] = None
 
-    def checkpoint_topology(self) -> Dict[str, object]:
-        """The warehouse topology descriptor (checkpoint-compatible
-        with ``repro campaign`` so serve and CLI runs share
-        snapshots)."""
-        return snapshot_descriptor(
-            self.topology, fault_profile=self.fault_profile
-        )
+    LEAST = {**RunSpec.LEAST, "max_targets": 1}
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.tenant:
+            raise ValueError("a tenant spec needs a non-empty tenant name")
 
     def targets(self, internet) -> List[int]:
         """The campaign targets, truncated to ``max_targets``."""
@@ -223,8 +210,8 @@ class CampaignSession:
             self._scheduler, spec.tenant,
         )
         prober = Prober(gate)
-        campaign = campaign_for(spec, attached, prober)
-        checkpoint = checkpoint_for(spec)
+        campaign = spec.campaign_for(attached, prober)
+        checkpoint = spec.checkpoint_for()
         try:
             result = campaign.run(
                 spec.targets(attached), checkpoint=checkpoint
@@ -261,5 +248,5 @@ def run_standalone(spec: TenantSpec):
     obs = Obs(MetricsRegistry(), EventLog())
     attached = internet.attach(obs=obs)
     prober = Prober(probe_backend(attached.engine, spec.fault_profile))
-    result = campaign_for(spec, attached, prober).run(spec.targets(attached))
+    result = spec.campaign_for(attached, prober).run(spec.targets(attached))
     return result, obs.metrics

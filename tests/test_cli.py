@@ -240,6 +240,32 @@ class TestCampaignCheckpoint:
             )
         capsys.readouterr()
 
+    def test_recording_a_resumed_run_is_refused(self, capsys, tmp_path):
+        # A resumed run probes only the remainder, so its log could
+        # never be replayed from the start.
+        warehouse = str(tmp_path / "warehouse")
+        args = ["campaign", "--scale", "0.3", "--vantage-points", "3"]
+        assert main(
+            args + ["--probe-budget", "300", "--checkpoint", warehouse]
+        ) == 0
+        capsys.readouterr()
+        log = tmp_path / "tail.jsonl"
+        assert main(
+            args + ["--resume", warehouse, "--record", str(log)]
+        ) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not log.exists()
+
+    def test_replay_miss_exits_two(self, capsys, tmp_path):
+        log = str(tmp_path / "partial.jsonl")
+        args = ["campaign", "--scale", "0.3", "--vantage-points", "3"]
+        assert main(
+            args + ["--probe-budget", "300", "--record", log]
+        ) == 0
+        capsys.readouterr()
+        assert main(args + ["--replay", log]) == 2
+        assert "error: probe log" in capsys.readouterr().err
+
 
 class TestChaosAlias:
     def test_alias_matches_campaign_with_fault_profile(

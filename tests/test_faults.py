@@ -56,15 +56,6 @@ class TestProfiles:
         with pytest.raises(ValueError):
             FaultProfile(flaps=((10, "explode"),))
 
-    @pytest.mark.parametrize("name", sorted(FAULT_PROFILES))
-    def test_wire_round_trip(self, name):
-        profile = FAULT_PROFILES[name]
-        assert FaultProfile.from_wire(profile.to_wire()) == profile
-
-    def test_from_wire_rejects_unknown_fields(self):
-        with pytest.raises(ValueError):
-            FaultProfile.from_wire({"name": "x", "loss_rat": 0.5})
-
     def test_inert_and_mutation_flags(self):
         assert FAULT_PROFILES["none"].inert
         assert not FAULT_PROFILES["hostile"].inert

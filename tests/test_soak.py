@@ -41,12 +41,28 @@ def test_campaign_rerun_into_the_same_out(tmp_path):
     assert len(list(tmp_path.glob("campaign-warehouses-*"))) == 2
 
 
-@pytest.mark.parametrize("flag", ["--snapshots", "--tenants"])
+@pytest.mark.parametrize(
+    "flag",
+    ["--snapshots", "--tenants", "--probe-budget", "--max-targets",
+     "--max-active", "--vantage-points"],
+)
 def test_serve_rejects_sizes_below_one(soak, flag, capsys):
     with pytest.raises(SystemExit) as exit_info:
         soak.parse_args(["serve", flag, "0"])
     assert exit_info.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["serve --scale 0", "fleet --scale 0", "fleet --restart-budget -1",
+     "fleet --epoch-deadline 0"],
+)
+def test_rejects_out_of_range_numbers(soak, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        soak.parse_args(argv.split())
+    assert exit_info.value.code == 2
+    assert "must be" in capsys.readouterr().err
 
 
 def test_serve_smoke(soak, tmp_path):

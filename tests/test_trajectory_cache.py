@@ -266,12 +266,6 @@ class TestCacheManagement:
         assert engine.trajectory_misses > 0
         # A TTL ladder over one flow shares a single trajectory.
         assert engine.trajectory_hits > 0
-        internet.prober.traceroute(vp, dst, start_ttl=2)
-        stats = engine.cache_stats()
-        assert stats["trajectory_hits"] == engine.trajectory_hits
-        assert 0.0 < stats["hit_rate"] <= 1.0
-        assert stats["cached_trajectories"] == len(engine._trajectories)
-        assert stats["packets_simulated"] == engine.packets_simulated
 
     def test_replies_leave_no_trajectories(self):
         """Only probes are memoised: replies walk concretely once per
@@ -292,7 +286,7 @@ class TestCacheManagement:
                 internet.prober.traceroute(vp, dst)
                 internet.prober.ping(vp, dst)
         assert engine.packets_simulated > engine.trajectory_misses
-        assert engine.cache_stats()["cached_trajectories"] == len(sent)
+        assert len(engine._trajectories) == len(sent)
 
     def test_invalidate_flushes_trajectories(self):
         internet = build_internet(InternetConfig(seed=77))

@@ -62,7 +62,7 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
 )
 
-from repro.cli import positive  # noqa: E402
+from repro.cli import add_spec_flags, positive, spec_from_args  # noqa: E402
 from repro.experiments.common import CampaignContext, ContextConfig  # noqa: E402
 from repro.faults import LOSS_LADDER, profile_names  # noqa: E402
 from repro.fleet import FleetConfig, FleetSupervisor  # noqa: E402
@@ -281,19 +281,14 @@ def soak_campaign(args, failures):
 def tenant_specs(args):
     """The soak's tenant fleet, spread round-robin over snapshots."""
     cycle = [float(w) for w in args.weights.split(",")] if args.weights else [1.0]
+    topology = spec_from_args(TopologySpec, args)
     return [
-        TenantSpec(
+        spec_from_args(
+            TenantSpec,
+            args,
             tenant=f"soak-{index:02d}",
-            topology=TopologySpec(
-                scale=args.scale,
-                seed=args.seed + index % args.snapshots,
-                vantage_points=args.vantage_points,
-                stubs_per_transit=args.stubs_per_transit,
-            ),
+            topology=dataclasses.replace(topology, seed=args.seed + index % args.snapshots),
             weight=cycle[index % len(cycle)],
-            probe_budget=args.probe_budget,
-            fault_profile=args.fault_profile,
-            max_targets=args.max_targets,
         )
         for index in range(args.tenants)
     ]
@@ -420,21 +415,12 @@ def serve_tenants(args, client, failures):
 def _fleet(args, warehouse, kill_plan=None, **overrides):
     """Run one soak fleet over ``warehouse``; returns its report,
     supervisor and ``fleet.json`` bytes."""
-    config = dict(
-        warehouse=warehouse,
-        chains=args.chains,
-        epochs=args.epochs,
-        scale=args.scale,
-        seed=args.seed,
-        vantage_points=args.vantage_points,
-        stubs_per_transit=args.stubs_per_transit,
-        churn_profile=args.churn_profile,
-        fault_profile=args.fault_profile,
-        restart_budget=args.restart_budget,
-        backoff_base_ms=0.5,
-    )
+    # The watchdog arms only where a caller passes ``epoch_deadline``.
+    config = {"warehouse": warehouse, "backoff_base_ms": 0.5, "epoch_deadline": None}
     config.update(overrides)
-    supervisor = FleetSupervisor(FleetConfig(**config), kill_plan=kill_plan)
+    supervisor = FleetSupervisor(
+        spec_from_args(FleetConfig, args, **config), kill_plan=kill_plan
+    )
     report = supervisor.run()
     with open(os.path.join(warehouse, "fleet.json"), "rb") as handle:
         return report, supervisor, handle.read()
@@ -555,12 +541,14 @@ def parse_args(argv=None):
         "--out", default="soak-out", metavar="DIR",
         help="report, artifacts and per-run warehouse directory",
     )
-    topology = argparse.ArgumentParser(add_help=False, parents=[common])
-    topology.add_argument("--scale", type=float, default=0.3)
-    topology.add_argument("--seed", type=int, default=2017)
-    topology.add_argument("--vantage-points", type=int, default=3)
-    topology.add_argument("--stubs-per-transit", type=int, default=2)
-    topology.add_argument("--fault-profile", default=None)
+    topology = add_spec_flags(
+        argparse.ArgumentParser(add_help=False, parents=[common]),
+        scale=0.3,
+        seed=2017,
+        vantage_points=3,
+        stubs_per_transit=2,
+        fault_profile=None,
+    )
 
     campaign = commands.add_parser(
         "campaign", parents=[common], help="every fault profile: crash, budget, resume"
@@ -578,13 +566,13 @@ def parse_args(argv=None):
         "--snapshots", type=positive, default=2,
         help="distinct topology seeds (each rendered once, shared)",
     )
-    serve.add_argument("--max-targets", type=int, default=6)
-    serve.add_argument("--max-active", type=int, default=4)
+    add_spec_flags(serve, max_targets=6)
+    serve.add_argument("--max-active", type=positive, default=4)
     serve.add_argument(
         "--weights", default=None,
         help="comma-separated scheduler weights cycled over tenants",
     )
-    serve.add_argument("--probe-budget", type=int, default=None)
+    add_spec_flags(serve, probe_budget=None)
     serve.add_argument(
         "--sigterm-after-completed", type=int, default=None, metavar="K",
         help="SIGTERM once K sessions have completed and assert the "
@@ -594,24 +582,15 @@ def parse_args(argv=None):
     fleet = commands.add_parser(
         "fleet", parents=[topology], help="crash storm and park drill"
     )
-    fleet.add_argument("--chains", type=positive, default=3)
-    fleet.add_argument("--epochs", type=positive, default=2)
-    fleet.add_argument("--churn-profile", default="steady")
+    add_spec_flags(fleet, chains=3, epochs=2, churn_profile="steady")
     fleet.add_argument(
         "--kill-stride", type=int, default=70, metavar="PROBES",
         help="chain i of the storm is hard-killed after "
         "(i + 1) * PROBES cumulative probes",
     )
-    fleet.add_argument(
-        "--epoch-deadline", type=int, default=None, metavar="PROBES",
-        help="also arm the per-chain watchdog (simulated clock): "
-        "epochs exceeding PROBES probes are killed and restarted",
-    )
-    fleet.add_argument(
-        "--restart-budget", type=int, default=60,
-        help="restarts allowed per chain during the storm (the "
-        "watchdog flavour needs several per epoch)",
-    )
+    # The watchdog arms in the storm only; the storm's restart budget
+    # must cover several watchdog kills per epoch.
+    add_spec_flags(fleet, epoch_deadline=None, restart_budget=60)
     fleet.add_argument(
         "--park", action="store_true",
         help="also park a chain under a zero restart budget, then "
