@@ -1,28 +1,31 @@
-"""The run spec and the campaign stack every front end builds.
+"""The run spec and the one executor every front end runs it through.
 
 :class:`RunSpec` declares, once, the fields every front end's run
 shares.  ``ContextConfig`` (``repro campaign``) and ``TenantSpec``
 (``repro serve``) extend it; a monitor chain views its own fields
-through ``ChainSpec.run_spec()``.  The spec maps itself to the
-orchestrator (:meth:`RunSpec.campaign_config`) and to its warehouse
-checkpoint (:meth:`RunSpec.checkpoint_for`), so a served tenant, its
-standalone twin and a CLI run of one spec land in one snapshot, and
-:func:`write_result` gives that snapshot one ``result.json``.  Every
-front end measures through :func:`probe_backend`.
+through ``ChainSpec.run_spec()``.  :meth:`RunSpec.execute` builds
+the measurement stack (:class:`RunStack`), runs the campaign, writes
+``result.json`` and tears the stack down, for CLI runs, served
+sessions and their standalone twin alike; a monitor chain runs every
+epoch on one :class:`RunStack`.  So one spec executes one code path
+and lands in one snapshot whatever front end runs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.campaign.orchestrator import Campaign, CampaignConfig
+from repro.core.frpla import FrplaAnalyzer
 from repro.measure import SimBackend
+from repro.probing.prober import Prober
 
 if TYPE_CHECKING:
     from repro.serve.registry import TopologySpec
 
-__all__ = ["RunSpec", "probe_backend", "write_result"]
+__all__ = ["CampaignRun", "RunSpec", "RunStack"]
 
 
 def _default_topology() -> "TopologySpec":
@@ -100,15 +103,6 @@ class RunSpec:
         values.update(extra)
         return CampaignConfig(**values)
 
-    def campaign_for(self, internet, prober) -> Campaign:
-        """The orchestrator this spec maps to."""
-        return Campaign(
-            prober,
-            internet.vps,
-            internet.asn_of_address,
-            self.campaign_config(internet),
-        )
-
     def checkpoint_topology(self) -> Dict[str, object]:
         """The warehouse topology descriptor the run's snapshot is
         keyed on (shared by every front end).  A fault profile changes
@@ -119,69 +113,143 @@ class RunSpec:
             descriptor["fault_profile"] = self.fault_profile
         return descriptor
 
-    def checkpoint_for(self):
-        """The run's warehouse checkpoint (None when it names no
-        ``checkpoint_dir``)."""
-        if self.checkpoint_dir is None:
+    def targets(self, internet) -> List[int]:
+        """The destinations the run's campaign measures."""
+        return internet.campaign_targets()
+
+    def mutates_network(self) -> bool:
+        """Does the fault profile rewire the network mid-run (flaps)?
+        Such a run cannot share a frozen rendered snapshot.  Raises
+        ValueError for an unknown profile."""
+        if self.fault_profile is None:
+            return False
+        from repro.faults import fault_profile
+
+        return fault_profile(self.fault_profile).mutates_network
+
+    def execute(self, internet, *, wrap=None) -> "CampaignRun":
+        """Run the spec over ``internet`` (rendered or attached; the
+        caller keeps it): build a :class:`RunStack` with ``wrap``
+        around its backend, run, write ``result.json``, tear down."""
+        stack = RunStack(self, internet, wrap)
+        try:
+            run = stack.run()
+            run.write_summary()
+        finally:
+            stack.close()
+        return run
+
+
+class RunStack:
+    """A spec's measurement stack over one internet: the simulator
+    backend behind the spec's fault profile, wrapped by ``wrap`` (the
+    serve turnstile, the fleet harness, a probe-log recorder or
+    replayer), under a fresh prober.  With nothing to inject or wrap
+    it measures through the internet's own prober.  A monitor chain
+    runs every epoch on one stack."""
+
+    def __init__(self, spec: RunSpec, internet, wrap=None) -> None:
+        self.spec = spec
+        self.internet = internet
+        self._built = spec.fault_profile is not None or wrap is not None
+        if not self._built:
+            self.prober = internet.prober
+            return
+        backend = SimBackend(internet.engine)
+        if spec.fault_profile is not None:
+            # Imported on first use, off the import path of clean runs.
+            from repro.faults import FaultyBackend, fault_profile
+
+            backend = FaultyBackend(
+                backend, fault_profile(spec.fault_profile)
+            )
+        if wrap is not None:
+            backend = wrap(backend)
+        # A replayed probe log has no observability bundle of its own.
+        self.prober = Prober(backend, obs=internet.engine.obs)
+
+    def run(self, config: Optional[CampaignConfig] = None,
+            topology: Optional[Dict[str, object]] = None,
+            resume: Optional[bool] = None) -> "CampaignRun":
+        """One campaign, checkpointed under the spec's
+        ``checkpoint_dir`` when it names one; ``config``, ``topology``
+        and ``resume`` default to the spec's campaign config, snapshot
+        descriptor and resume flag (a monitor epoch passes its own)."""
+        spec, internet = self.spec, self.internet
+        campaign = Campaign(
+            self.prober, internet.vps, internet.asn_of_address,
+            config or spec.campaign_config(internet),
+        )
+        checkpoint = None
+        if spec.checkpoint_dir is not None:
+            from repro.store import CampaignCheckpoint
+
+            checkpoint = CampaignCheckpoint(
+                spec.checkpoint_dir,
+                topology=topology or spec.checkpoint_topology(),
+                resume=spec.resume if resume is None else resume,
+            )
+        result = campaign.run(spec.targets(internet), checkpoint=checkpoint)
+        return CampaignRun(internet, campaign, checkpoint, result)
+
+    def close(self) -> None:
+        """Unhook and close the prober the stack built (the internet's
+        own prober is its attachment's to detach)."""
+        if self._built:
+            self.internet.control.remove_invalidation_listener(
+                self.prober.service.flush_cache
+            )
+            self.prober.backend.close()
+
+
+@dataclass
+class CampaignRun:
+    """One executed campaign.  Its per-AS analysis is built on first
+    use, so an unwritten run nobody asks for analysis builds none."""
+
+    internet: object
+    campaign: Campaign
+    checkpoint: object
+    result: object
+
+    def alias_of(self, address: int) -> Optional[str]:
+        """Ground truth: the name of the router owning ``address``."""
+        router = self.internet.router_of_address(address)
+        return None if router is None else router.name
+
+    @cached_property
+    def aggregator(self):
+        """Per-AS summaries over ground-truth aliases."""
+        from repro.campaign.postprocess import Aggregator
+
+        return Aggregator(
+            self.result, self.internet.asn_of_address,
+            alias_of=self.alias_of,
+        )
+
+    @cached_property
+    def frpla(self) -> FrplaAnalyzer:
+        """The campaign's FRPLA analyser, classifying by role."""
+        return self.campaign.frpla(
+            self.result, classify=self.aggregator.role_of
+        )
+
+    def write_summary(self) -> Optional[dict]:
+        """Write the snapshot's ``result.json`` and return it (None
+        without a snapshot).  A budget-stopped run writes one flagged
+        ``partial`` that its resume overwrites; only a completed
+        ``run.json`` marks the snapshot complete."""
+        if self.checkpoint is None or self.checkpoint.snapshot is None:
             return None
-        from repro.store import CampaignCheckpoint
+        from repro.store import result_document
 
-        return CampaignCheckpoint(
-            self.checkpoint_dir,
-            topology=self.checkpoint_topology(),
-            resume=self.resume,
+        names = {
+            asn: profile.name
+            for asn, profile in self.internet.profiles.items()
+        }
+        document = result_document(
+            self.result, self.aggregator, frpla=self.frpla,
+            as_names=names,
         )
-
-
-def probe_backend(engine, fault_profile: Optional[str] = None):
-    """The simulator backend over ``engine``, behind the named
-    chaos profile when one is given."""
-    backend = SimBackend(engine)
-    if fault_profile is None:
-        return backend
-    # Chaos and the warehouse are imported on first use, keeping them
-    # off the import path of clean, uncheckpointed runs.
-    from repro.faults import FaultyBackend
-    from repro.faults import fault_profile as shipped_profile
-
-    return FaultyBackend(backend, shipped_profile(fault_profile))
-
-
-def write_result(
-    checkpoint,
-    internet,
-    campaign: Campaign,
-    result,
-    aggregator=None,
-    frpla=None,
-) -> Optional[dict]:
-    """Write a finished run's ``result.json`` into its checkpoint
-    snapshot and return the document (None without a snapshot).
-
-    The per-AS section needs an :class:`Aggregator` over ground-truth
-    aliases and the campaign's FRPLA analyser; a caller that already
-    built them passes them in, so nothing is computed twice.
-    """
-    if checkpoint is None or checkpoint.snapshot is None:
-        return None
-    from repro.campaign.postprocess import Aggregator
-    from repro.store import result_document
-
-    if aggregator is None:
-        def alias_of(address: int) -> Optional[str]:
-            router = internet.router_of_address(address)
-            return None if router is None else router.name
-
-        aggregator = Aggregator(
-            result, internet.asn_of_address, alias_of=alias_of
-        )
-    if frpla is None:
-        frpla = campaign.frpla(result, classify=aggregator.role_of)
-    names = {
-        asn: profile.name for asn, profile in internet.profiles.items()
-    }
-    document = result_document(
-        result, aggregator, frpla=frpla, as_names=names
-    )
-    checkpoint.snapshot.write_result(document)
-    return document
+        self.checkpoint.snapshot.write_result(document)
+        return document

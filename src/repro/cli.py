@@ -70,7 +70,7 @@ from repro.synth.gns3 import SCENARIOS, build_gns3
 __all__ = [
     "EXPERIMENTS", "SPEC_FLAGS", "add_spec_flags", "main",
     "non_negative", "non_negative_float", "positive", "positive_float",
-    "spec_from_args",
+    "positive_floats", "spec_from_args",
 ]
 
 #: Experiment id -> module with a ``run()`` returning ``.text``.
@@ -115,8 +115,15 @@ def positive_float(text):
     """argparse type: a finite number above 0."""
     value = float(text)
     if not 0.0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+        raise argparse.ArgumentTypeError(
+            f"must be finite and above 0, got {text}"
+        )
     return value
+
+
+def positive_floats(text):
+    """argparse type: comma-separated finite numbers above 0."""
+    return [positive_float(value) for value in text.split(",")]
 
 
 def non_negative_float(text):
@@ -994,10 +1001,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     weights = [1.0] * args.tenants
     if args.weights:
         try:
-            cycle = [float(w) for w in args.weights.split(",")]
-        except ValueError:
+            cycle = positive_floats(args.weights)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             print(
-                f"error: bad --weights {args.weights!r}",
+                f"error: bad --weights {args.weights!r}: {exc}",
                 file=sys.stderr,
             )
             return 2

@@ -15,10 +15,9 @@ from typing import Dict, Optional, Sequence
 
 from repro.campaign.orchestrator import CampaignConfig, CampaignResult
 from repro.campaign.postprocess import Aggregator
-from repro.campaign.stack import RunSpec, probe_backend, write_result
+from repro.campaign.stack import RunSpec
 from repro.core.frpla import FrplaAnalyzer
 from repro.measure import RecordingBackend, ReplayBackend
-from repro.probing.prober import Prober
 from repro.serve.registry import (
     default_registry,
     render_internet,
@@ -81,14 +80,7 @@ class CampaignContext:
 
     def __init__(self, config: ContextConfig) -> None:
         self.config = config
-        mutating = False
-        if config.fault_profile is not None:
-            from repro.faults import fault_profile
-
-            mutating = fault_profile(
-                config.fault_profile
-            ).mutates_network
-        if mutating:
+        if config.mutates_network():
             # Flap-style profiles rewire links mid-run, so they get a
             # private, unfrozen build; everything else shares the
             # process-wide rendered snapshot below.
@@ -100,71 +92,27 @@ class CampaignContext:
             # silently paying ``internet_build`` twice for the same
             # content key.
             self.internet = default_registry().attach(config.topology)
-        prober, recording = self._build_prober(config)
-        self.campaign = config.campaign_for(self.internet, prober)
-        checkpoint = config.checkpoint_for()
-        try:
-            self.result: CampaignResult = self.campaign.run(
-                self.internet.campaign_targets(),
-                checkpoint=checkpoint,
-            )
-        finally:
-            if recording is not None:
-                recording.close()
-        self.aggregator = Aggregator(
-            self.result,
-            self.internet.asn_of_address,
-            alias_of=self._alias_of,
-        )
-        self.frpla: FrplaAnalyzer = self.campaign.frpla(
-            self.result, classify=self.aggregator.role_of
-        )
-        write_result(
-            checkpoint, self.internet, self.campaign, self.result,
-            aggregator=self.aggregator, frpla=self.frpla,
-        )
+        run = config.execute(self.internet, wrap=_probe_log(config))
+        self.campaign = run.campaign
+        self.result: CampaignResult = run.result
+        self.aggregator: Aggregator = run.aggregator
+        self.frpla: FrplaAnalyzer = run.frpla
+        #: Ground-truth alias resolver (address → router name) and
+        #: IP-to-AS mapping.
+        self.alias_of = run.alias_of
+        self.asn_of = self.internet.asn_of_address
 
-    # ------------------------------------------------------------------
 
-    def _build_prober(self, config: ContextConfig):
-        """The campaign's prober, honouring record/replay settings.
-
-        Returns ``(prober, recording)`` where ``recording`` is the
-        :class:`RecordingBackend` to close after the run (or None).
-        The synthetic Internet is built either way — replay still
-        needs its topology metadata (VPs, IP-to-AS, ground truth) —
-        but under ``replay_path`` every probe is answered from the log
-        instead of the simulator.
-        """
-        if config.replay_path is not None:
-            return (
-                Prober(
-                    ReplayBackend(config.replay_path),
-                    obs=self.internet.engine.obs,
-                ),
-                None,
-            )
-        if config.fault_profile is None and config.record_path is None:
-            return self.internet.prober, None
-        backend = probe_backend(self.internet.engine, config.fault_profile)
-        if config.record_path is not None:
-            recording = RecordingBackend(backend, config.record_path)
-            return Prober(recording), recording
-        return Prober(backend), None
-
-    def _alias_of(self, address: int) -> Optional[str]:
-        router = self.internet.router_of_address(address)
-        return None if router is None else router.name
-
-    @property
-    def alias_of(self):
-        """Ground-truth alias resolver (address → router name)."""
-        return self._alias_of
-
-    @property
-    def asn_of(self):
-        """Ground-truth IP-to-AS mapping."""
-        return self.internet.asn_of_address
+def _probe_log(config: ContextConfig):
+    """The backend wrap for the config's probe log, or None: replay
+    answers every probe from the log (the internet still supplies
+    VPs, IP-to-AS and ground truth); record tees every exchange into
+    one, which the run's teardown closes."""
+    if config.replay_path is not None:
+        return lambda backend: ReplayBackend(config.replay_path)
+    if config.record_path is not None:
+        return lambda backend: RecordingBackend(backend, config.record_path)
+    return None
 
 
 @lru_cache(maxsize=4)

@@ -7,14 +7,16 @@ and a warehouse directory, and advances them together through
 1. apply the epoch's churn (:class:`~repro.synth.churn.ChurnModel`);
 2. ask the :class:`~repro.monitor.staleness.StalenessEngine` which of
    the previous snapshot's candidate pairs went stale;
-3. run a checkpointed campaign whose ``carried_pairs`` skip the full
-   revelation recursion for the fresh ones;
-4. merge the carried pairs' prior revelations back into the result so
-   the epoch's ``result.json`` holds the complete tunnel inventory —
-   byte-identical to a full re-campaign when churn really was
-   confined to the flagged region (pinned by test);
+3. run a checkpointed campaign, on the chain's one
+   :class:`~repro.campaign.stack.RunStack`, whose ``carried_pairs``
+   skip the full revelation recursion for the fresh ones;
+4. merge the carried pairs' prior revelations back into the result,
+   then write the epoch's ``result.json``, so it holds the complete
+   tunnel inventory — byte-identical to a full re-campaign when churn
+   really was confined to the flagged region (pinned by test); an
+   epoch its budget stopped writes a partial one, like any run;
 5. write a ``monitor.json`` sidecar (churn events, staleness
-   verdicts, probe accounting) next to the snapshot.
+   verdicts, probe accounting) next to a completed snapshot.
 
 Every epoch is its own content-keyed snapshot: the topology
 descriptor is stamped with the **chain id** (a hash of everything
@@ -39,19 +41,17 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.campaign.orchestrator import Campaign, CampaignConfig
-from repro.campaign.stack import RunSpec, probe_backend, write_result
+from repro.campaign.orchestrator import CampaignConfig
+from repro.campaign.stack import RunSpec, RunStack
 from repro.core.revelation import Revelation, RevelationMethod
 from repro.monitor.staleness import StalenessEngine, StalenessReport
 from repro.obs import Obs
-from repro.probing.prober import Prober
 from repro.serve.registry import (
     TopologySpec,
     internet_config,
     render_internet,
 )
 from repro.store import (
-    CampaignCheckpoint,
     CampaignStore,
     campaign_key,
     snapshot_tunnels,
@@ -289,23 +289,22 @@ class MonitorLoop:
             if isinstance(profile, str)
             else profile
         )
-        if config.fault_profile is not None:
-            from repro.faults import fault_profile
-
-            if fault_profile(config.fault_profile).mutates_network:
-                raise ValueError(
-                    f"fault profile {config.fault_profile!r} mutates "
-                    "the network; the monitor's churn model owns the "
-                    "topology — use a non-flap profile"
-                )
+        if self.spec.mutates_network():
+            raise ValueError(
+                f"fault profile {config.fault_profile!r} mutates "
+                "the network; the monitor's churn model owns the "
+                "topology — use a non-flap profile"
+            )
         if internet is None:
             internet = render_internet(self.spec.topology)
         else:
             self._check_injected(internet)
         self.internet = internet
-        self._backend_wrapper = backend_wrapper
         self._stop_before_epoch = stop_before_epoch
-        self.prober = self._build_prober()
+        # One stack for the chain's private internet; the fleet's
+        # harness wraps outermost, seeing every probe, faults included.
+        self.stack = RunStack(self.spec, internet, wrap=backend_wrapper)
+        self.prober = self.stack.prober
         self.obs: Obs = self.prober.obs
         self.churn = ChurnModel(
             self.internet,
@@ -368,20 +367,6 @@ class MonitorLoop:
 
     # ------------------------------------------------------------------
     # Plumbing
-
-    def _build_prober(self) -> Prober:
-        """The chain's prober (fault-wrapped when configured).
-
-        A ``backend_wrapper`` (the fleet's kill-switch/watchdog
-        harness) wraps outermost so it sees every probe the campaign
-        submits, faults included.
-        """
-        backend = probe_backend(
-            self.internet.engine, self.config.fault_profile
-        )
-        if self._backend_wrapper is not None:
-            backend = self._backend_wrapper(backend)
-        return Prober(backend)
 
     def _epoch_boundary(self) -> None:
         """Reset per-epoch probing state.
@@ -499,28 +484,18 @@ class MonitorLoop:
         config = self._campaign_config(carried)
         topology = self._topology_descriptor(epoch)
         key = campaign_key(
-            topology, config, self.internet.campaign_targets()
+            topology, config, self.spec.targets(self.internet)
         )["key"]
         complete = self._find_complete_epoch(key)
         if complete is not None:
             return self._skipped_outcome(
                 epoch, key, complete, events, staleness
             )
-        campaign = Campaign(
-            self.prober,
-            self.internet.vps,
-            self.internet.asn_of_address,
-            config,
-        )
         snapshot = self.store.snapshot_for_key(key)
         resuming = snapshot.exists() and snapshot.has_records()
-        checkpoint = CampaignCheckpoint(
-            self.store, topology, resume=resuming
-        )
         probes_before = self.prober.probes_sent
-        result = campaign.run(
-            self.internet.campaign_targets(), checkpoint=checkpoint
-        )
+        run = self.stack.run(config, topology=topology, resume=resuming)
+        result = run.result
         outcome = EpochOutcome(
             epoch=epoch,
             key=key,
@@ -547,12 +522,12 @@ class MonitorLoop:
             "monitor.pairs_reprobed",
             outcome.pairs - outcome.pairs_carried,
         )
+        if carried and previous is not None:
+            self._merge_carried(result, previous, carried)
+        document = run.write_summary()
         if result.partial:
             metrics.inc("monitor.partial_epochs")
             return outcome
-        if carried and previous is not None:
-            self._merge_carried(result, previous, carried)
-        document = write_result(checkpoint, self.internet, campaign, result)
         outcome.tunnels = len(document.get("tunnels") or [])
         self._write_sidecar(epoch, key, outcome, staleness)
         return outcome

@@ -32,10 +32,18 @@ from typing import Dict, Optional, Set
 
 from repro.obs import Obs
 
-__all__ = ["QUANTUM", "FairScheduler", "ScheduledBackend"]
+__all__ = ["QUANTUM", "FairScheduler", "ScheduledBackend", "check_weight"]
 
 #: Virtual time a lane may advance per turn (measured: DESIGN §13).
 QUANTUM = 8.0
+
+
+def check_weight(weight: float) -> None:
+    """Raise ValueError unless ``weight`` is finite and positive: a
+    NaN or infinite weight makes virtual times meaningless and can
+    stall the turnstile."""
+    if not 0.0 < weight < float("inf"):
+        raise ValueError(f"weight must be finite and positive: {weight}")
 
 
 class _Lane(object):
@@ -99,8 +107,7 @@ class FairScheduler:
         repeat registration bumps the refcount and re-applies the
         weight.
         """
-        if weight <= 0:
-            raise ValueError(f"weight must be positive: {weight}")
+        check_weight(weight)
         with self._cond:
             lane = self._lanes.get(tenant)
             if lane is None:

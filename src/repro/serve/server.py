@@ -12,9 +12,10 @@ lock, then the scheduler's; the scheduler never calls back into the
 server.
 
 Admission control happens at :meth:`ServeClient.submit`: unknown
-chaos profiles, network-mutating profiles (illegal against frozen
-shared snapshots), and non-positive weights are rejected with
-:class:`AdmissionError` before any resources are committed.
+chaos profiles and network-mutating profiles (illegal against frozen
+shared snapshots) are rejected with :class:`AdmissionError` before
+any resources are committed; a weight that is not finite and positive
+never gets that far, because :class:`TenantSpec` refuses it.
 
 Shutdown is a **graceful drain**: :meth:`ServeClient.drain` stops
 admission, optionally cancels still-queued sessions, lets active
@@ -118,26 +119,19 @@ class ServeClient:
         """Validate a spec; raise :class:`AdmissionError` if unsafe."""
         if self._draining:
             raise AdmissionError("server is draining; not admitting")
-        if spec.weight <= 0:
+        try:
+            mutates = spec.mutates_network()
+        except ValueError as exc:
+            raise AdmissionError(str(exc)) from None
+        if mutates:
             raise AdmissionError(
-                f"tenant {spec.tenant!r} weight must be positive"
+                f"fault profile {spec.fault_profile!r} fires "
+                "network-mutating flaps and cannot run against a "
+                "shared frozen snapshot; run it standalone "
+                "(repro campaign --fault-profile), or run a monitoring fleet "
+                "(repro fleet) — each fleet chain churns a "
+                "private copy-on-churn twin of the shared render"
             )
-        if spec.fault_profile is not None:
-            from repro.faults import fault_profile
-
-            try:
-                profile = fault_profile(spec.fault_profile)
-            except ValueError as exc:
-                raise AdmissionError(str(exc)) from None
-            if profile.mutates_network:
-                raise AdmissionError(
-                    f"fault profile {spec.fault_profile!r} fires "
-                    "network-mutating flaps and cannot run against a "
-                    "shared frozen snapshot; run it standalone "
-                    "(repro campaign --fault-profile), or run a monitoring fleet "
-                    "(repro fleet) — each fleet chain churns a "
-                    "private copy-on-churn twin of the shared render"
-                )
 
     def submit(self, spec: TenantSpec) -> SessionHandle:
         """Admit a tenant and queue its campaign session."""

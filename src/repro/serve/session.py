@@ -7,17 +7,17 @@ rest of the :class:`~repro.campaign.stack.RunSpec` the standalone CLI
 shares (probe budget, retries, chaos profile, circuit breaker,
 warehouse checkpoint).
 
-A :class:`CampaignSession` runs the **unmodified**
-:class:`~repro.campaign.orchestrator.Campaign` in a worker thread
-over a fully private measurement stack — engine, prober, service,
-metrics registry, event log — attached to the shared snapshot, with a
-:class:`~repro.serve.scheduler.ScheduledBackend` turnstile between
-the service and the backend.  Isolation plus an unmodified
-orchestrator is the whole determinism argument: the served run
-executes exactly the standalone code path, so
-:func:`run_standalone` (the private-internet twin used by tests and
-``tools/soak.py serve``) produces an equal ``CampaignResult``,
-measurement counters included.
+A :class:`CampaignSession` runs its spec through
+:meth:`~repro.campaign.stack.RunSpec.execute` in a worker thread over
+a fully private measurement stack — engine, prober, service, metrics
+registry, event log — attached to the shared snapshot, with a
+:class:`~repro.serve.scheduler.ScheduledBackend` turnstile as the
+executor's ``wrap`` between the service and the backend.  Isolation
+plus one executor is the whole determinism argument: the served run
+executes exactly the standalone code path, so :func:`run_standalone`
+(the private-internet twin used by tests and ``tools/soak.py
+serve``) produces an equal ``CampaignResult``, measurement counters
+included.
 
 Events: each session's structured events (phase starts, probes,
 revelation verdicts, the final ``campaign.metrics`` record) are
@@ -30,20 +30,19 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import CancelledError
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.campaign.orchestrator import CampaignResult
-from repro.campaign.stack import RunSpec, probe_backend, write_result
+from repro.campaign.stack import RunSpec
 from repro.obs import EventLog, JsonlSink, MetricsRegistry, Obs, Tracer
-from repro.probing.prober import Prober
 from repro.serve.registry import (
     SnapshotRegistry,
     render_internet,
     topology_key,
 )
-from repro.serve.scheduler import FairScheduler, ScheduledBackend
+from repro.serve.scheduler import FairScheduler, ScheduledBackend, check_weight
 
 __all__ = [
     "AdmissionError",
@@ -95,10 +94,11 @@ class TenantSpec(RunSpec):
         super().__post_init__()
         if not self.tenant:
             raise ValueError("a tenant spec needs a non-empty tenant name")
+        check_weight(self.weight)
 
     def targets(self, internet) -> List[int]:
         """The campaign targets, truncated to ``max_targets``."""
-        return internet.campaign_targets()[: self.max_targets]
+        return super().targets(internet)[: self.max_targets]
 
 
 class _TaggedSink:
@@ -182,7 +182,8 @@ class CampaignSession:
     # Execution (worker thread)
 
     def _run(self) -> CampaignResult:
-        """Build the isolated stack and run the campaign.
+        """Attach a private stack and execute the spec through the
+        scheduler turnstile.
 
         Runs on a server worker thread; everything it touches is either
         session-private or explicitly thread-safe (registry lock,
@@ -205,29 +206,19 @@ class CampaignSession:
         obs = Obs(MetricsRegistry(), events, Tracer(events))
         self.metrics = obs.metrics
         attached = self._registry.attach(spec.topology, obs=obs)
-        gate = ScheduledBackend(
-            probe_backend(attached.engine, spec.fault_profile),
-            self._scheduler, spec.tenant,
-        )
-        prober = Prober(gate)
-        campaign = spec.campaign_for(attached, prober)
-        checkpoint = spec.checkpoint_for()
         try:
-            result = campaign.run(
-                spec.targets(attached), checkpoint=checkpoint
-            )
-            write_result(checkpoint, attached, campaign, result)
+            result = spec.execute(
+                attached,
+                wrap=lambda backend: ScheduledBackend(
+                    backend, self._scheduler, spec.tenant
+                ),
+            ).result
             events.emit(
                 "campaign.metrics",
                 counters=obs.metrics.counters_snapshot(),
             )
             return result
         finally:
-            service = getattr(prober, "service", None)
-            if service is not None:
-                attached.control.remove_invalidation_listener(
-                    service.flush_cache
-                )
             attached.detach()
             if file_sink is not None:
                 file_sink.close()
@@ -238,15 +229,16 @@ def run_standalone(spec: TenantSpec):
     """The standalone-orchestrator twin of a served session.
 
     Renders a **private** internet for ``spec.topology`` (no sharing,
-    no freeze — network-mutating chaos profiles are legal here),
-    builds the same measurement stack a session builds minus the
-    scheduler turnstile, and runs the same campaign.  Returns
-    ``(result, metrics_registry)``; tests and the soak harness assert
-    the served result ``==`` this one, measurement counters included.
+    no freeze — network-mutating chaos profiles are legal here) and
+    executes the spec on it without the scheduler turnstile, and
+    without a checkpoint even when the spec names one, so it never
+    touches a served snapshot (the event file is the session's).
+    Returns ``(result, metrics_registry)``; tests and the soak harness
+    assert the served result ``==`` this one, measurement counters
+    included.
     """
     internet = render_internet(spec.topology)
     obs = Obs(MetricsRegistry(), EventLog())
     attached = internet.attach(obs=obs)
-    prober = Prober(probe_backend(attached.engine, spec.fault_profile))
-    result = spec.campaign_for(attached, prober).run(spec.targets(attached))
-    return result, obs.metrics
+    unstored = replace(spec, checkpoint_dir=None)
+    return unstored.execute(attached).result, obs.metrics

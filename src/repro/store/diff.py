@@ -11,10 +11,10 @@ Tunnels are keyed by their ``(ingress, egress)`` candidate pair: the
 pair endpoints are what a longitudinal vantage point actually
 re-observes, while the revealed interior may legitimately differ probe
 to probe.  The preferred source is each snapshot's ``result.json``
-summary; when a run never completed (no summary), the diff falls back
-to reconstructing tunnels from the raw ``revelation.jsonl`` +
-``pairs.jsonl`` records, so even two interrupted campaigns can be
-compared.
+summary (a budget-stopped run writes a partial one); when a run
+crashed before writing any, the diff falls back to reconstructing
+tunnels from the raw ``revelation.jsonl`` + ``pairs.jsonl`` records,
+so even two crashed campaigns can be compared.
 """
 
 from __future__ import annotations

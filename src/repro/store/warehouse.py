@@ -166,7 +166,9 @@ class Snapshot:
         )
 
     def result(self) -> Optional[dict]:
-        """The result summary; None when the run never finished."""
+        """The result summary (flagged ``partial`` for a run its
+        budget stopped); None when the run crashed before writing
+        one."""
         return read_json(self.result_path)
 
     def completed(self) -> bool:

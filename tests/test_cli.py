@@ -1,11 +1,19 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import EXPERIMENTS, main
+
+#: The source root a child ``python -m repro.cli`` imports from.
+_SOURCE = str(Path(repro.__file__).resolve().parents[1])
 
 
 class TestEmulate:
@@ -89,6 +97,19 @@ class TestServe:
 
     def test_serve_rejects_bad_weights(self, capsys):
         assert main(["serve", "--weights", "fast,slow"]) == 2
+
+    def test_serve_rejects_non_finite_weights(self):
+        # In a child process under a timeout: a NaN weight that slips
+        # through stalls the scheduler instead of failing.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--tenants", "2",
+             "--snapshots", "1", "--max-targets", "2",
+             "--weights", "nan,1"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": _SOURCE},
+        )
+        assert proc.returncode == 2
+        assert "must be finite" in proc.stderr
 
     def test_serve_rejects_mutating_profile(self, capsys):
         assert main(

@@ -17,6 +17,7 @@ Three acceptance contracts from the monitoring subsystem:
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ import pytest
 from repro.monitor import MonitorConfig, MonitorLoop
 from repro.store import (
     MONITOR_SCHEMA,
+    CampaignStore,
     chain_snapshots,
     fold_timeline,
     snapshot_tunnels,
@@ -303,6 +305,24 @@ class TestTimelineLifecycle:
 
 
 class TestResume:
+    def test_budget_stopped_epoch_writes_a_partial_result(self, tmp_path):
+        config = MonitorConfig(
+            warehouse=str(tmp_path), epochs=1, churn_profile="steady",
+            scale=0.2, vantage_points=2, stubs_per_transit=1,
+            probe_budget=100,
+        )
+        stopped = MonitorLoop(config).run()
+        assert stopped.partial
+        snapshot = CampaignStore(tmp_path).snapshot_for_key(
+            stopped.epochs[0].key
+        )
+        assert snapshot.result()["partial"] is True
+        assert not snapshot.completed()
+        resumed = MonitorLoop(replace(config, probe_budget=None)).run()
+        assert resumed.epochs[0].resumed
+        assert snapshot.result()["partial"] is False
+        assert snapshot.completed()
+
     def test_budget_kill_then_resume_is_bit_identical(
         self, tmp_path_factory
     ):

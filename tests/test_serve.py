@@ -8,6 +8,7 @@ admission turns unsafe specs away up front, and drain settles every
 submitted session.
 """
 
+import math
 import os
 import signal
 import subprocess
@@ -32,6 +33,7 @@ from repro.serve import (
     topology_key,
 )
 from repro.serve.registry import default_registry, render_internet
+from repro.serve.scheduler import FairScheduler
 
 #: Small-but-complete topology: every campaign phase runs and tunnels
 #: are revealed, within a unit-test budget.
@@ -46,9 +48,34 @@ def small_spec(tenant, **overrides):
     return TenantSpec(tenant=tenant, **overrides)
 
 
+def _context_side(spec):
+    """``spec``'s campaign through ``repro campaign``'s context, with
+    its measurement counters less the FRPLA samples its analyser adds
+    after the run."""
+    from repro.experiments.common import CampaignContext, ContextConfig
+
+    context = CampaignContext(
+        ContextConfig(
+            topology=spec.topology,
+            fault_profile=spec.fault_profile,
+            max_retries=spec.max_retries,
+        )
+    )
+    counters = measurement_counters(
+        context.internet.engine.obs.metrics.counters_snapshot()
+    )
+    for name in ("frpla.samples", "technique.frpla.samples"):
+        counters.pop(name, None)
+    return context.result, counters
+
+
 class TestByteIdentity:
-    def test_served_equals_standalone_counters_included(self):
-        spec = small_spec("ident")
+    """Served, standalone and ``repro campaign`` runs of one spec
+    execute one code path: equal results, measurement counters
+    included."""
+
+    @staticmethod
+    def assert_one_campaign(spec):
         client = ServeClient(registry=SnapshotRegistry())
         try:
             handle = client.submit(spec)
@@ -63,25 +90,65 @@ class TestByteIdentity:
         assert served_counters == measurement_counters(
             metrics.counters_snapshot()
         )
+        assert _context_side(spec) == (served, served_counters)
+
+    def test_served_equals_standalone_counters_included(self):
+        self.assert_one_campaign(small_spec("ident", max_targets=None))
 
     def test_faulty_spec_still_identical(self):
         # A non-default spec: the fault layer sits between the shared
-        # snapshot and the tenant's probes, on both paths.
-        spec = small_spec("faulty", fault_profile="hostile", max_retries=1)
-        client = ServeClient(registry=SnapshotRegistry())
-        try:
-            handle = client.submit(spec)
-            served = handle.wait(timeout=300)
-            served_counters = measurement_counters(
-                handle.session.metrics.counters_snapshot()
+        # snapshot and the tenant's probes, on every path.
+        self.assert_one_campaign(
+            small_spec(
+                "faulty", fault_profile="hostile", max_retries=1,
+                max_targets=None,
             )
+        )
+
+
+class TestTeardown:
+    def test_control_plane_keeps_only_live_listeners(self):
+        """A faulty ``repro campaign`` context and a served session
+        share one rendered snapshot; once both ran, its control plane
+        holds only the listeners of the stacks still alive: the
+        render's own and the context's attachment."""
+        from repro.experiments.common import CampaignContext, ContextConfig
+
+        topology = TopologySpec(
+            scale=0.25, seed=4343, vantage_points=2, stubs_per_transit=2
+        )
+        context = CampaignContext(
+            ContextConfig(topology=topology, fault_profile="loss-light")
+        )
+        client = ServeClient(registry=default_registry())
+        try:
+            client.submit(
+                TenantSpec(
+                    tenant="gone", topology=topology,
+                    fault_profile="loss-light", max_targets=2,
+                )
+            ).wait(timeout=300)
         finally:
             client.close()
-        expected, metrics = run_standalone(spec)
-        assert served == expected
-        assert served_counters == measurement_counters(
-            metrics.counters_snapshot()
+        render = context.internet.base
+        live = [
+            stack.engine.flush_trajectories
+            for stack in (render, context.internet)
+        ] + [
+            stack.prober.service.flush_cache
+            for stack in (render, context.internet)
+        ]
+        held = [ref() for ref in render.control._invalidation_listeners]
+        assert sorted(map(repr, held)) == sorted(map(repr, live))
+
+    def test_standalone_twin_writes_no_checkpoint_or_events(self, tmp_path):
+        spec = small_spec(
+            "twin", checkpoint_dir=str(tmp_path / "wh"),
+            events_path=str(tmp_path / "events.jsonl"),
         )
+        result, _ = run_standalone(spec)
+        assert result.traces
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSnapshotSharing:
@@ -215,6 +282,18 @@ class TestAdmission:
             assert result.traces
         finally:
             client.close()
+
+
+class TestWeights:
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_spec_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="finite and positive"):
+            small_spec("w", weight=weight)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_register_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="finite and positive"):
+            FairScheduler().register("w", weight)
 
 
 class TestLifecycle:
@@ -479,6 +558,37 @@ class TestServedCheckpoint:
         assert served_snapshot.result_path.read_bytes() == (
             cli_snapshot.result_path.read_bytes()
         )
+
+
+    def test_budget_stop_writes_a_partial_result_until_resumed(
+        self, tmp_path
+    ):
+        from repro.store import CampaignStore
+
+        topology = TopologySpec(
+            scale=0.25, seed=11, vantage_points=2, stubs_per_transit=2
+        )
+        client = ServeClient(registry=SnapshotRegistry())
+        try:
+            client.submit(
+                TenantSpec(
+                    tenant="stopped", topology=topology, probe_budget=150,
+                    checkpoint_dir=str(tmp_path),
+                )
+            ).wait(timeout=300)
+            [snapshot] = CampaignStore(tmp_path).snapshots()
+            assert snapshot.result()["partial"] is True
+            assert not snapshot.completed()
+            client.submit(
+                TenantSpec(
+                    tenant="resumed", topology=topology,
+                    checkpoint_dir=str(tmp_path), resume=True,
+                )
+            ).wait(timeout=300)
+        finally:
+            client.close()
+        assert snapshot.result()["partial"] is False
+        assert snapshot.completed()
 
 
 class TestTopologyKey:

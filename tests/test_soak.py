@@ -65,6 +65,14 @@ def test_rejects_out_of_range_numbers(soak, argv, capsys):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weights", ["inf", "nan,1", "0"])
+def test_serve_rejects_non_finite_weights(soak, weights, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        soak.parse_args(["serve", "--weights", weights])
+    assert exit_info.value.code == 2
+    assert "must be finite and above 0" in capsys.readouterr().err
+
+
 def test_serve_smoke(soak, tmp_path):
     assert soak.main(
         ["serve", "--tenants", "2", "--snapshots", "1",

@@ -62,7 +62,7 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
 )
 
-from repro.cli import add_spec_flags, positive, spec_from_args  # noqa: E402
+from repro.cli import add_spec_flags, positive, positive_floats, spec_from_args  # noqa: E402
 from repro.experiments.common import CampaignContext, ContextConfig  # noqa: E402
 from repro.faults import LOSS_LADDER, profile_names  # noqa: E402
 from repro.fleet import FleetConfig, FleetSupervisor  # noqa: E402
@@ -280,7 +280,7 @@ def soak_campaign(args, failures):
 
 def tenant_specs(args):
     """The soak's tenant fleet, spread round-robin over snapshots."""
-    cycle = [float(w) for w in args.weights.split(",")] if args.weights else [1.0]
+    cycle = args.weights or [1.0]
     topology = spec_from_args(TopologySpec, args)
     return [
         spec_from_args(
@@ -569,7 +569,7 @@ def parse_args(argv=None):
     add_spec_flags(serve, max_targets=6)
     serve.add_argument("--max-active", type=positive, default=4)
     serve.add_argument(
-        "--weights", default=None,
+        "--weights", type=positive_floats, default=None,
         help="comma-separated scheduler weights cycled over tenants",
     )
     add_spec_flags(serve, probe_budget=None)
