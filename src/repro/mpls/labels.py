@@ -8,6 +8,7 @@ the exact wire encoding for round-trip tests and for RFC 4950 quoting.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Tuple
 
 from repro.net.addressing import Prefix
@@ -134,11 +135,9 @@ class LabelAllocator:
         RSVP-TE FECs are ``("te", tunnel_name)`` pairs and round-trip
         as ``[router, "te", tunnel_name, label]`` rows."""
         rows = []
-        for position, ((router, fec), label) in enumerate(
-            self._bindings.items()
+        for (router, fec), label in islice(
+            self._bindings.items(), start, None
         ):
-            if position < start:
-                continue
             if isinstance(fec, Prefix):
                 rows.append([router, fec.network, fec.length, label])
             else:
