@@ -37,7 +37,7 @@ import sys
 from collections import Counter, defaultdict
 from typing import Dict, Iterable, List, Optional
 
-from repro.store.checkpoint import checkpoint_prefix
+from repro.store.checkpoint import checkpoint_prefix, fold_state
 from repro.store.layout import read_json
 from repro.store.timeline import (
     _epoch_head,
@@ -420,20 +420,20 @@ def summarize_snapshot(snapshot: Snapshot) -> dict:
     ``surviving`` the part a resume keeps (the seq-contiguous chain
     of :func:`~repro.store.checkpoint.checkpoint_prefix`); a phase is
     ``damaged`` when a resume would drop anything from it, corrupt
-    trailing lines included.
+    trailing lines included.  ``last_state`` is what a resume
+    restores: :func:`~repro.store.checkpoint.fold_state` over the
+    surviving chain.
     """
     phases = {}
-    last_state = None
+    chain = []
     quarantined = 0
-    chain_length = 0
     for phase, (records, kept) in checkpoint_prefix(snapshot).items():
         size, lines = snapshot.phase_stats(phase)
         for record in kept:
             state = record.get("state")
             if isinstance(state, dict):
-                last_state = state
                 quarantined += len(state.get("quarantine_added") or [])
-        chain_length += len(kept)
+        chain.extend(kept)
         phases[phase] = {
             "records": len(records),
             "surviving": len(kept),
@@ -444,8 +444,8 @@ def summarize_snapshot(snapshot: Snapshot) -> dict:
         "path": str(snapshot.path),
         "manifest": snapshot.manifest() or {},
         "phases": phases,
-        "chain_length": chain_length,
-        "last_state": last_state,
+        "chain_length": len(chain),
+        "last_state": fold_state(chain),
         "quarantined": quarantined,
         "run": snapshot.run_status(),
         "result": snapshot.result(),

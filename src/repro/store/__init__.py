@@ -4,7 +4,7 @@ Campaigns so far were ephemeral: kill the process and every probe is
 lost.  This package gives a campaign a durable home:
 
 * :mod:`repro.store.layout` — versioned on-disk layout
-  (``repro.store/1``), content-keyed snapshots, crash-tolerant JSONL
+  (``repro.store/2``), content-keyed snapshots, crash-tolerant JSONL
   record I/O;
 * :mod:`repro.store.warehouse` — :class:`CampaignStore` /
   :class:`Snapshot`, the directory-level containers;
@@ -12,7 +12,8 @@ lost.  This package gives a campaign a durable home:
   phase/pair-granular checkpoint-resume protocol driven by
   :meth:`repro.campaign.orchestrator.Campaign.run` (resumed runs are
   bit-identical to uninterrupted ones, measurement counters
-  included), plus :func:`result_document`;
+  included), :func:`fold_state` (what a record prefix restores: its
+  per-record counter deltas summed) and :func:`result_document`;
 * :mod:`repro.store.diff` — longitudinal diffing between snapshots
   (``repro diff``): tunnels appeared / disappeared / length-changed
   and per-AS deployment deltas;
@@ -34,6 +35,7 @@ import cycle.
 from repro.store.checkpoint import (
     CampaignCheckpoint,
     StoreMismatch,
+    fold_state,
     result_document,
 )
 from repro.store.diff import (
@@ -79,6 +81,7 @@ __all__ = [
     "Snapshot",
     "CampaignCheckpoint",
     "StoreMismatch",
+    "fold_state",
     "result_document",
     "chain_snapshots",
     "diff_snapshots",

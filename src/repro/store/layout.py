@@ -2,11 +2,11 @@
 
 One *snapshot* is a directory holding everything one campaign
 produced, laid out for both crash-safe incremental writes and
-after-the-fact analytics (schema ``repro.store/1``)::
+after-the-fact analytics (schema ``repro.store/2``)::
 
     <store root>/
       <key prefix>/            one snapshot per campaign key
-        MANIFEST.json          {"schema": "repro.store/1", "key": ...,
+        MANIFEST.json          {"schema": "repro.store/2", "key": ...,
                                 "fingerprint": {...}}
         phases/
           trace.jsonl          one record per completed traceroute
@@ -28,7 +28,12 @@ a budget and resuming it without one must land in the same snapshot.
 Phase records are an append-only log with *prefix semantics*: each
 record carries its zero-based ``index``, and :func:`read_phase_records`
 accepts the longest valid prefix, dropping a truncated or corrupt tail
-(a crash mid-write loses at most the record being written).
+(a crash mid-write loses at most the record being written).  Each
+record's ``state`` block holds what changed since the previous record
+in ``seq`` order — response-cache entries, label bindings, quarantine
+records and measurement-counter deltas — next to the service and
+result accounting as of the record (see
+:func:`repro.store.checkpoint.fold_state`).
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ __all__ = [
 ]
 
 #: Store layout schema identifier; bumped on incompatible changes.
-STORE_SCHEMA = "repro.store/1"
+STORE_SCHEMA = "repro.store/2"
 
 #: Diff document schema identifier (see :mod:`repro.store.diff`).
 DIFF_SCHEMA = "repro.store.diff/1"
@@ -170,14 +175,24 @@ def snapshot_dirname(key: str) -> str:
 # ---------------------------------------------------------------------------
 # Record I/O
 
+#: Compact record encoder, built once: ``json.dumps`` with
+#: ``separators`` constructs a new encoder on every call.  Records are
+#: trees of plain JSON values, so the cycle check is skipped.
+_encode_record = json.JSONEncoder(
+    separators=(",", ":"), check_circular=False
+).encode
 
-def read_phase_records(path: Union[str, Path]) -> List[dict]:
+
+def read_phase_records(
+    path: Union[str, Path], limit: Optional[int] = None
+) -> List[dict]:
     """Load the longest valid record prefix from a phase file.
 
     Tolerates a missing file, blank lines, a truncated final line,
     and arbitrary garbage after a crash: reading stops at the first
     line that is not a JSON object carrying the expected next
-    ``index``, and everything before it is returned.
+    ``index``, and everything before it is returned.  With ``limit``,
+    reading also stops once that many records are loaded.
     """
     records: List[dict] = []
     try:
@@ -199,6 +214,8 @@ def read_phase_records(path: Union[str, Path]) -> List[dict]:
             ):
                 break
             records.append(record)
+            if len(records) == limit:
+                break
     return records
 
 
@@ -210,7 +227,7 @@ def append_record(handle, record: dict) -> int:
     loss, and a crash mid-call costs only this record (the loader
     drops the truncated tail).
     """
-    line = json.dumps(record, separators=(",", ":")) + "\n"
+    line = _encode_record(record) + "\n"
     handle.write(line)
     handle.flush()
     return len(line)
@@ -222,13 +239,20 @@ def rewrite_records(
     """Replace a phase file with exactly ``records``.
 
     Used on resume to truncate a corrupt tail before appending new
-    records, so indexes stay contiguous on the next resume too.
+    records, so indexes stay contiguous on the next resume too.  The
+    records go to a temp file renamed over the phase file, as in
+    :func:`write_json`: a crash mid-rewrite leaves the old file whole.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(
-                json.dumps(record, separators=(",", ":")) + "\n"
-            )
+    path = Path(path)
+    scratch = path.with_name(path.name + ".tmp")
+    try:
+        with open(scratch, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(_encode_record(record) + "\n")
+    except BaseException:
+        scratch.unlink(missing_ok=True)
+        raise
+    scratch.replace(path)
 
 
 def write_json(path: Union[str, Path], document: dict) -> None:

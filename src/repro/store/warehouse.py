@@ -100,9 +100,11 @@ class Snapshot:
         )
 
     def has_records(self) -> bool:
-        """True when any phase file holds at least one record."""
+        """True when any phase file holds at least one valid record
+        (each file is read only up to its first)."""
         return any(
-            bool(self.records(phase)) for phase in PHASES
+            read_phase_records(self.phase_path(phase), limit=1)
+            for phase in PHASES
         )
 
     # ------------------------------------------------------------------
