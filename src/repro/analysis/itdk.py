@@ -160,10 +160,6 @@ class TraceGraph:
         """Total undirected edges."""
         return sum(len(peers) for peers in self._adjacency.values()) // 2
 
-    def has_edge(self, node_a: str, node_b: str) -> bool:
-        """True when the link was inferred."""
-        return node_b in self._adjacency.get(node_a, ())
-
     def asn_of_node(self, node: str) -> Optional[int]:
         """AS attributed to ``node`` (from its first address)."""
         return self._node_asn.get(node)

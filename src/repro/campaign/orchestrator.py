@@ -102,8 +102,6 @@ class CampaignConfig:
     #: Retries per probe on timeout (``*`` hops), applied by the
     #: measurement service.
     max_retries: int = 0
-    #: Base wall-clock backoff between retries, doubled per attempt.
-    retry_backoff_ms: float = 0.0
     #: Response-cache mode for the measurement service.  ``"ping"``
     #: dedupes cross-phase re-pings of addresses whose replies were
     #: already observed (see ``campaign.pings_saved``).
@@ -326,7 +324,6 @@ class Campaign:
                     else None
                 ),
                 max_retries=self.config.max_retries,
-                retry_backoff_ms=self.config.retry_backoff_ms,
                 cache_mode=self.config.cache_mode,
                 sanitize=self.config.sanitize_replies,
                 address_validator=(
@@ -702,13 +699,6 @@ class Campaign:
         The classic campaign (``revelation_technique=None``) runs the
         combined DPR/BRPR recursion unconditionally; a named registry
         technique gates each pair on its trigger first.
-        """
-        self._reveal_pairs(result, checkpoint)
-
-    def _reveal_pairs(
-        self, result: CampaignResult, checkpoint=None
-    ) -> None:
-        """The revelation loop proper (split out for accounting).
 
         Probe accounting is per pair (``revelation_probes`` grows as
         each pair finishes, with a ``finally`` catch-all for the pair

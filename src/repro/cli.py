@@ -638,7 +638,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    from repro.measure.replay import ReplayMiss
+    from repro.measure.replay import ProbeLogError, ReplayMiss
     from repro.store import StoreMismatch
 
     try:
@@ -655,7 +655,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     with _event_trace(args.trace_out) as traced:
         try:
             context = campaign_context(config)
-        except (StoreMismatch, ReplayMiss) as exc:
+        except (StoreMismatch, ReplayMiss, ProbeLogError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         traced.append(context.internet.engine.obs.metrics)

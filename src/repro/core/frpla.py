@@ -116,10 +116,6 @@ class FrplaAnalyzer:
         """ASes with at least one sample."""
         return sorted({asn for asn, _ in self._values})
 
-    def roles(self, asn: int) -> List[str]:
-        """Role labels observed for ``asn``."""
-        return sorted(role for a, role in self._values if a == asn)
-
     def distribution(
         self, asn: Optional[int] = None, role: Optional[str] = None
     ) -> Distribution:

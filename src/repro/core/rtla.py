@@ -204,12 +204,6 @@ class RtlaAnalyzer:
         self.obs.metrics.set_gauge("rtla.estimates", len(results))
         return results
 
-    def tunnel_length_distribution(self) -> Distribution:
-        """Distribution of inferred return tunnel lengths (Fig. 9a)."""
-        return Distribution(
-            estimate.tunnel_length for estimate in self.estimates()
-        )
-
     def median_tunnel_length(
         self, asn_of: Optional[Callable[[int], Optional[int]]] = None,
         asn: Optional[int] = None,

@@ -104,11 +104,6 @@ class Technique:
     primitive: Optional[Callable] = None
     confidence: Optional[Callable] = None
 
-    def applicable(self, tunnel_class: str) -> bool:
-        """Was the technique designed for ``tunnel_class`` tunnels?"""
-        return tunnel_class in self.tunnel_classes
-
-
 class TechniqueRegistry:
     """Ordered name -> :class:`Technique` registry.
 
@@ -144,10 +139,6 @@ class TechniqueRegistry:
     def names(self) -> List[str]:
         """Registered names, in registration order."""
         return list(self._techniques)
-
-    def revealers(self) -> List[Technique]:
-        """Techniques with a full revelation strategy."""
-        return [t for t in self._techniques.values() if t.reveal]
 
     def scopes(self) -> List[str]:
         """Distinct budget scopes, in registration order."""

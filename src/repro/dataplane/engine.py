@@ -298,6 +298,9 @@ class ForwardingEngine:
         ``flow_id``, ``kind`` — duck-typed so the engine never imports
         the measurement plane.  Probes are evaluated one by one, so
         label bindings force in exactly the order single probes would.
+        No run calls it: it is kept because bench/spans.py wraps it by
+        name, and goes once the bench reads only public surfaces
+        (ROADMAP item 1).
         """
         router = self.network.router
         return [

@@ -113,40 +113,10 @@ class FaultyBackend(ProbeBackend):
     def submit_batch(
         self, requests: Sequence[ProbeRequest]
     ) -> List[ProbeReply]:
-        """Batch submission with serial-identical fault application.
-
-        Faults are a pure function of each probe's clock position, so
-        the batch is chunked at the positions where flaps are due:
-        within a chunk no flap can fire, the inner backend sees the
-        chunk as one batch, and each reply is faulted at the exact
-        position a serial :meth:`submit` loop would have used.
-        """
-        replies: List[ProbeReply] = []
-        total = len(requests)
-        index = 0
-        while index < total:
-            position = self.clock
-            self._fire_due_flaps(position)
-            chunk_end = total
-            if self._flaps_fired < len(self._flaps):
-                due = self._flaps[self._flaps_fired][0]
-                chunk_end = min(total, index + (due - position))
-            chunk = requests[index:chunk_end]
-            self.clock += len(chunk)
-            raw = self.inner.submit_batch(chunk)
-            if self.profile.inert:
-                replies.extend(raw)
-            else:
-                for offset, (request, reply) in enumerate(
-                    zip(chunk, raw)
-                ):
-                    replies.append(
-                        reply
-                        if reply.reply_kind is None
-                        else self._apply(position + offset, request, reply)
-                    )
-            index = chunk_end
-        return replies
+        """:meth:`submit` per request.  Kept because bench/spans.py
+        wraps it by name; it goes once the bench reads only public
+        surfaces (ROADMAP item 1)."""
+        return [self.submit(request) for request in requests]
 
     def close(self) -> None:
         self.inner.close()

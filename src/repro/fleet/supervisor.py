@@ -123,9 +123,10 @@ class _ChainHarness:
         """Epoch boundary: rewind the watchdog's simulated clock."""
         self.epoch_probes = 0
 
-    def _tick(self, count: int) -> None:
-        self.total_probes += count
-        self.epoch_probes += count
+    def submit(self, request):
+        """Count one probe, then delegate (or die before submitting)."""
+        self.total_probes += 1
+        self.epoch_probes += 1
         if (
             self.kill_after is not None
             and self.total_probes >= self.kill_after
@@ -142,17 +143,7 @@ class _ChainHarness:
                 f"epoch exceeded its watchdog deadline of "
                 f"{self.epoch_deadline} probes"
             )
-
-    def submit(self, request):
-        """Count one probe, then delegate (or die)."""
-        self._tick(1)
         return self._inner.submit(request)
-
-    def submit_batch(self, requests):
-        """Count a batch, then delegate (or die before submitting)."""
-        requests = list(requests)
-        self._tick(len(requests))
-        return self._inner.submit_batch(requests)
 
     def __getattr__(self, name):
         # Everything else (fault-state save/restore, cache hooks)

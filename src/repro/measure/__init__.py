@@ -6,7 +6,8 @@ pings) from *how* probes are emitted:
 * :mod:`repro.measure.backend` — the :class:`ProbeBackend` protocol
   plus the request/reply dataclasses;
 * :mod:`repro.measure.service` — :class:`ProbeService`, the policy
-  layer (budgets, retries, deadlines, response caching);
+  layer (budgets, retries, response caching, the sanitizer's
+  quarantine);
 * :mod:`repro.measure.sim` — :class:`SimBackend`, the one adapter
   that drives the packet-level simulator;
 * :mod:`repro.measure.replay` — JSONL probe-log record/replay;
@@ -46,7 +47,6 @@ from repro.measure.service import (
     BudgetExceeded,
     MeasurementPolicy,
     ProbeService,
-    TraceBudget,
 )
 from repro.measure.sim import SimBackend
 
@@ -69,7 +69,6 @@ __all__ = [
     "ReplayBackend",
     "ReplayMiss",
     "SimBackend",
-    "TraceBudget",
     "as_probe_service",
     "inspect_reply",
     "reply_from_wire",

@@ -5,7 +5,7 @@ probes and pings — not over any particular way of emitting them.  This
 module pins the contract between the analysis layers and whatever
 actually sends packets: a :class:`ProbeRequest` in, a
 :class:`ProbeReply` out, and a :class:`ProbeBackend` that turns one
-into the other (one at a time or in batches).
+into the other.
 
 Concrete backends live next door: :class:`~repro.measure.sim.\
 SimBackend` drives the packet-level simulator, and
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 __all__ = [
     "ECHO_REQUEST",
@@ -159,12 +159,11 @@ def reply_from_wire(wire: Optional[dict], probe_ttl: int) -> ProbeReply:
 
 
 class ProbeBackend(ABC):
-    """Turns probe requests into replies.
+    """Turns probe requests into replies, one :meth:`submit` at a time.
 
-    Subclasses implement :meth:`submit`; everything else has a default
-    built on it.  Backends that can amortise per-probe overhead (a
-    live scamper driver, a batched socket pool) override
-    :meth:`submit_batch` too.
+    Composers never call a backend directly: every probe goes through
+    :class:`~repro.measure.service.ProbeService`, which owns budgets,
+    retries, the response cache and the sanitizer.
     """
 
     #: Short backend identifier, recorded in probe-log headers.
@@ -174,51 +173,6 @@ class ProbeBackend(ABC):
     def submit(self, request: ProbeRequest) -> ProbeReply:
         """Emit one probe and return its reply (always returns — a
         timeout is a reply with ``reply_kind=None``)."""
-
-    def submit_batch(
-        self, requests: Sequence[ProbeRequest]
-    ) -> List[ProbeReply]:
-        """Emit several probes; replies in request order."""
-        return [self.submit(request) for request in requests]
-
-    # ------------------------------------------------------------------
-    # Conveniences — the protocol surface the composers talk to.
-
-    def traceroute_probe(
-        self, source: str, dst: int, ttl: int, flow_id: int
-    ) -> ProbeReply:
-        """One TTL-limited echo-request (a traceroute hop probe)."""
-        return self.submit(
-            ProbeRequest(source, dst, ttl, flow_id, ECHO_REQUEST)
-        )
-
-    def ping_probe(
-        self, source: str, dst: int, flow_id: int, ttl: int = PING_TTL
-    ) -> ProbeReply:
-        """One full-TTL echo-request (a fingerprinting ping)."""
-        return self.submit(
-            ProbeRequest(source, dst, ttl, flow_id, ECHO_REQUEST)
-        )
-
-    def udp_probe(
-        self, source: str, dst: int, flow_id: int, ttl: int = PING_TTL
-    ) -> ProbeReply:
-        """One Mercator-style UDP probe to an unused port."""
-        return self.submit(
-            ProbeRequest(source, dst, ttl, flow_id, UDP_PROBE)
-        )
-
-    def traceroute_batch(
-        self, requests: Sequence[ProbeRequest]
-    ) -> List[ProbeReply]:
-        """Batch variant of :meth:`traceroute_probe`."""
-        return self.submit_batch(list(requests))
-
-    def ping_batch(
-        self, requests: Sequence[ProbeRequest]
-    ) -> List[ProbeReply]:
-        """Batch variant of :meth:`ping_probe`."""
-        return self.submit_batch(list(requests))
 
     def close(self) -> None:
         """Release backend resources (file handles, sockets)."""

@@ -38,10 +38,21 @@ from repro.measure.backend import (
     reply_to_wire,
 )
 
-__all__ = ["SCHEMA", "ReplayMiss", "RecordingBackend", "ReplayBackend"]
+__all__ = [
+    "SCHEMA",
+    "ProbeLogError",
+    "ReplayMiss",
+    "RecordingBackend",
+    "ReplayBackend",
+]
 
 #: Probe-log schema identifier, written as the header line.
 SCHEMA = "repro.probelog/1"
+
+
+class ProbeLogError(ValueError):
+    """A probe log cannot be opened, read, or parsed; the message
+    names the path."""
 
 
 class ReplayMiss(RuntimeError):
@@ -88,9 +99,15 @@ class RecordingBackend(ProbeBackend):
         self.engine = getattr(inner, "engine", None)
         if isinstance(destination, str):
             self.path: str = destination
-            self._handle: IO[str] = open(
-                destination, "w", encoding="utf-8"
-            )
+            try:
+                self._handle: IO[str] = open(
+                    destination, "w", encoding="utf-8"
+                )
+            except OSError as exc:
+                raise ProbeLogError(
+                    f"cannot write probe log {destination!r}: "
+                    f"{exc.strerror or exc}"
+                ) from exc
             self._owns_handle = True
         else:
             self.path = getattr(destination, "name", "<stream>")
@@ -156,27 +173,42 @@ class ReplayBackend(ProbeBackend):
     def __init__(self, path: str) -> None:
         self.path = path
         self._replies: Dict[tuple, Optional[dict]] = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if "schema" in record:
-                    if record["schema"] != SCHEMA:
-                        raise ValueError(
-                            f"unsupported probe-log schema "
-                            f"{record['schema']!r} in {path!r}"
-                        )
-                    continue
-                key = (
-                    record["source"],
-                    record["dst"],
-                    record["ttl"],
-                    record["flow"],
-                    record.get("kind", ECHO_REQUEST),
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if line:
+                        self._load(json.loads(line))
+        except ProbeLogError:
+            raise
+        except OSError as exc:
+            raise ProbeLogError(
+                f"cannot read probe log {path!r}: {exc.strerror or exc}"
+            ) from exc
+        except (ValueError, KeyError, TypeError) as exc:
+            # Not JSON (or not UTF-8), or a line without the entry
+            # fields: not a probe log at all.
+            raise ProbeLogError(
+                f"{path!r} is not a probe log: {exc!r}"
+            ) from exc
+
+    def _load(self, record: Dict[str, object]) -> None:
+        """Index one probe-log line (the header is checked, not kept)."""
+        if "schema" in record:
+            if record["schema"] != SCHEMA:
+                raise ProbeLogError(
+                    f"unsupported probe-log schema "
+                    f"{record['schema']!r} in {self.path!r}"
                 )
-                self._replies[key] = record.get("reply")
+            return
+        key = (
+            record["source"],
+            record["dst"],
+            record["ttl"],
+            record["flow"],
+            record.get("kind", ECHO_REQUEST),
+        )
+        self._replies[key] = record.get("reply")
 
     def __len__(self) -> int:
         """Number of recorded exchanges available."""

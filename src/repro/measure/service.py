@@ -1,16 +1,14 @@
 """ProbeService: cross-cutting measurement policy over any backend.
 
 The service owns everything a real campaign has to care about beyond
-"send a probe": per-campaign and per-technique probe budgets,
-retry-with-backoff on timeouts, per-probe and per-trace deadlines,
-and a response cache that stops the pipeline from re-probing addresses
-it already measured.  Composers (:class:`~repro.probing.prober.\
+"send a probe": per-campaign and per-technique probe budgets, retries
+on timeouts, reply sanitizing, and a response cache that stops the
+pipeline from re-probing addresses it already measured.  Composers (:class:`~repro.probing.prober.\
 Prober`) and the techniques talk to the service; the service talks to
 a :class:`~repro.measure.backend.ProbeBackend`.
 
 Everything the service does is deterministic given a deterministic
-backend — budgets count probes, deadlines count *simulated*
-measurement milliseconds (reply RTTs), and the cache is keyed on the
+backend — budgets count probes and the cache is keyed on the
 request — so its ``measure.*`` counters belong to the measurement
 namespace of :func:`repro.obs.measurement_counters` and stay invariant
 across execution strategies (live vs. replay, interrupted and resumed
@@ -19,7 +17,6 @@ vs. uninterrupted).
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -51,7 +48,6 @@ from repro.obs import DEBUG, Obs
 __all__ = [
     "BudgetExceeded",
     "MeasurementPolicy",
-    "TraceBudget",
     "ProbeService",
 ]
 
@@ -79,7 +75,7 @@ class MeasurementPolicy:
     """Declarative measurement policy, consumed by the service.
 
     The defaults are maximally permissive — no budgets, no retries, no
-    deadlines, no caching — so a bare service behaves exactly like the
+    caching — so a bare service behaves exactly like the
     backend underneath it.  Campaigns install their policy via
     :meth:`ProbeService.configure`.
     """
@@ -92,14 +88,6 @@ class MeasurementPolicy:
     scope_budgets: Optional[Mapping[str, int]] = None
     #: Retries per probe when the reply times out (``*`` hop).
     max_retries: int = 0
-    #: Base wall-clock backoff between retries, doubled per attempt.
-    #: 0 disables sleeping (the right setting for the simulator).
-    retry_backoff_ms: float = 0.0
-    #: Replies slower than this (simulated RTT, ms) count as timeouts.
-    probe_deadline_ms: Optional[float] = None
-    #: Cap on cumulative reply RTT per trace (simulated ms); the
-    #: composer truncates the trace once exceeded.
-    trace_deadline_ms: Optional[float] = None
     #: Response-cache mode: ``"off"`` (default), ``"ping"`` (cache
     #: full-TTL echo replies, keyed ``(source, dst, flow)``), or
     #: ``"all"`` (additionally cache per-TTL traceroute replies).
@@ -111,30 +99,6 @@ class MeasurementPolicy:
     #: Optional responder-address validator for the sanitizer's
     #: spoofed-source check (e.g. ``asn_of(addr) is not None``).
     address_validator: Optional[Callable[[int], bool]] = None
-
-
-class TraceBudget:
-    """Per-trace deadline accumulator (simulated milliseconds).
-
-    Handed out by :meth:`ProbeService.begin_trace`; the service
-    charges each reply's RTT against it and the composer stops the
-    trace once :attr:`expired`.
-    """
-
-    __slots__ = ("limit_ms", "spent_ms")
-
-    def __init__(self, limit_ms: float) -> None:
-        self.limit_ms = limit_ms  #: deadline, in simulated ms
-        self.spent_ms = 0.0  #: cumulative reply RTT charged so far
-
-    @property
-    def expired(self) -> bool:
-        """True once the cumulative RTT reached the deadline."""
-        return self.spent_ms >= self.limit_ms
-
-    def charge(self, rtt_ms: float) -> None:
-        """Charge one reply's RTT against the deadline."""
-        self.spent_ms += rtt_ms
 
 
 class ProbeService:
@@ -213,7 +177,6 @@ class ProbeService:
         dst: int,
         ttl: int,
         flow_id: int,
-        trace_budget: Optional[TraceBudget] = None,
     ) -> ProbeReply:
         """One TTL-limited echo-request, under full policy."""
         request = ProbeRequest(source, dst, ttl, flow_id, ECHO_REQUEST)
@@ -222,14 +185,10 @@ class ProbeService:
             key = ("probe", source, dst, flow_id, ttl)
             cached = self._cache.get(key)
             if cached is not None:
-                return self._serve_cached(request, cached, trace_budget)
-        reply = self._submit_with_retries(
-            request, "traceroute", trace_budget
-        )
+                return self._serve_cached(request, cached)
+        reply = self._submit_with_retries(request, "traceroute")
         if key is not None:
             self._cache[key] = reply
-        if trace_budget is not None:
-            self._charge_trace(trace_budget, reply)
         return reply
 
     def ping_probe(
@@ -248,7 +207,7 @@ class ProbeService:
         if key is not None:
             cached = self._cache.get(key)
             if cached is not None:
-                return self._serve_cached(request, cached, None)
+                return self._serve_cached(request, cached)
         reply = self._submit_with_retries(request, "ping")
         if key is not None:
             self._cache[key] = reply
@@ -278,43 +237,28 @@ class ProbeService:
             self._cache[key] = reply
             self.obs.metrics.inc("measure.cache.seeded")
 
-    def begin_trace(self) -> Optional[TraceBudget]:
-        """A fresh per-trace deadline, or None when unconfigured."""
-        limit = self.policy.trace_deadline_ms
-        return None if limit is None else TraceBudget(limit)
-
     # ------------------------------------------------------------------
-    # Batch API
+    # Batch shells: one per-request loop over the scalar method each,
+    # kept because bench/spans.py wraps them by name; they go once the
+    # bench reads only public surfaces (ROADMAP item 1).
 
     def traceroute_batch(
-        self,
-        requests: Sequence[ProbeRequest],
-        trace_budget: Optional[TraceBudget] = None,
+        self, requests: Sequence[ProbeRequest]
     ) -> List[ProbeReply]:
-        """Batch traceroute probes under full policy.
-
-        The uncached remainder is budget-checked all-or-nothing, then
-        submitted through the backend's batch path; timeouts are
-        retried individually afterwards.  Replies charge
-        ``trace_budget`` exactly as per-probe submissions would.
-        """
-        keyer: Optional[Callable[[ProbeRequest], Optional[tuple]]] = (
-            (lambda r: ("probe", r.source, r.dst, r.flow_id, r.ttl))
-            if self.policy.cache_mode == "all"
-            else None
-        )
-        return self._batch(requests, "traceroute", keyer, trace_budget)
+        """:meth:`traceroute_probe` per request, in request order."""
+        return [
+            self.traceroute_probe(r.source, r.dst, r.ttl, r.flow_id)
+            for r in requests
+        ]
 
     def ping_batch(
         self, requests: Sequence[ProbeRequest]
     ) -> List[ProbeReply]:
-        """Batch pings under full policy (cache served first)."""
-        keyer = (
-            self._ping_key
-            if self.policy.cache_mode in ("ping", "all")
-            else None
-        )
-        return self._batch(requests, "ping", keyer)
+        """:meth:`ping_probe` per request, in request order."""
+        return [
+            self.ping_probe(r.source, r.dst, r.flow_id, r.ttl)
+            for r in requests
+        ]
 
     # ------------------------------------------------------------------
     # Cache management
@@ -328,11 +272,6 @@ class ProbeService:
             # ``_exported`` keys are the ones that export covered.
             self._exported_keys = set(islice(self._cache, self._exported))
         self._cache.clear()
-
-    @property
-    def cached_replies(self) -> int:
-        """Number of replies currently cached."""
-        return len(self._cache)
 
     # ------------------------------------------------------------------
     # Quarantine (see :mod:`repro.measure.sanitize`)
@@ -478,10 +417,7 @@ class ProbeService:
         return ("ping", request.source, request.dst, request.flow_id)
 
     def _serve_cached(
-        self,
-        request: ProbeRequest,
-        reply: ProbeReply,
-        trace_budget: Optional[TraceBudget],
+        self, request: ProbeRequest, reply: ProbeReply
     ) -> ProbeReply:
         """Account one cache hit and return the stored reply."""
         self.obs.metrics.inc("measure.cache.hits")
@@ -491,17 +427,15 @@ class ProbeService:
                 "measure.cache.hit", DEBUG, vp=request.source,
                 dst=request.dst, flow=request.flow_id,
             )
-        if trace_budget is not None:
-            self._charge_trace(trace_budget, reply)
         return reply
 
-    def _charge_budget(self, count: int = 1) -> None:
-        """Raise :class:`BudgetExceeded` if ``count`` more probes
-        would overrun the global or any active scope budget."""
+    def _charge_budget(self) -> None:
+        """Raise :class:`BudgetExceeded` if one more probe would
+        overrun the global or any active scope budget."""
         policy = self.policy
         if (
             policy.probe_budget is not None
-            and self.probes_sent + count > policy.probe_budget
+            and self.probes_sent >= policy.probe_budget
         ):
             self._deny("campaign", policy.probe_budget, self.probes_sent)
         budgets = policy.scope_budgets
@@ -512,7 +446,7 @@ class ProbeService:
             for scope in dict.fromkeys(self._scopes):
                 limit = budgets.get(scope)
                 spent = self._scope_spent.get(scope, 0)
-                if limit is not None and spent + count > limit:
+                if limit is not None and spent >= limit:
                     self._deny(scope, limit, spent)
 
     def _deny(self, scope: str, budget: int, spent: int) -> None:
@@ -545,41 +479,10 @@ class ProbeService:
                 flow=request.flow_id, probe=probe,
             )
 
-    def _account_batch(
-        self, requests: Sequence[ProbeRequest], probe: str
-    ) -> None:
-        """Bulk :meth:`_account`: same totals, O(1) counter bumps.
-
-        The caller has already admitted the whole batch via
-        :meth:`_charge_budget`, so per-probe re-checks (which could
-        never trip after an all-or-nothing admission) are skipped.
-        """
-        count = len(requests)
-        if not count:
-            return
-        self.probes_sent += count
-        if self._scopes:
-            for scope in dict.fromkeys(self._scopes):
-                self._scope_spent[scope] = (
-                    self._scope_spent.get(scope, 0) + count
-                )
-        metrics = self.obs.metrics
-        metrics.inc("measure.probes", count)
-        metrics.inc("probe.sent." + probe, count)
-        events = self.obs.events
-        if events.debug:
-            for request in requests:
-                events.emit(
-                    "probe.sent", DEBUG, vp=request.source,
-                    dst=request.dst, ttl=request.ttl,
-                    flow=request.flow_id, probe=probe,
-                )
-
     def _observe_reply(
         self, request: ProbeRequest, reply: ProbeReply
     ) -> ProbeReply:
-        """Apply deadline + sanity checks, record reply counters."""
-        reply = self._enforce_probe_deadline(reply)
+        """Apply sanity checks, record reply counters."""
         if self.policy.sanitize and reply.reply_kind is not None:
             reason = inspect_reply(
                 request, reply, self.policy.address_validator
@@ -595,18 +498,6 @@ class ProbeService:
                 dst=request.dst, ttl=request.ttl, reply=kind,
                 responder=reply.responder,
             )
-        return reply
-
-    def _enforce_probe_deadline(self, reply: ProbeReply) -> ProbeReply:
-        """Turn an over-deadline reply into a timeout."""
-        limit = self.policy.probe_deadline_ms
-        if (
-            limit is not None
-            and reply.reply_kind is not None
-            and reply.rtt_ms > limit
-        ):
-            self.obs.metrics.inc("measure.deadline.probe")
-            return ProbeReply(probe_ttl=reply.probe_ttl)
         return reply
 
     def _quarantine_reply(
@@ -647,163 +538,17 @@ class ProbeService:
         return self._observe_reply(request, self.backend.submit(request))
 
     def _submit_with_retries(
-        self,
-        request: ProbeRequest,
-        probe: str,
-        trace_budget: Optional[TraceBudget] = None,
+        self, request: ProbeRequest, probe: str
     ) -> ProbeReply:
-        """Submit, retrying timeouts up to ``max_retries`` times."""
+        """Submit, re-probing while the reply is a ``*``, at most
+        ``max_retries`` times."""
         reply = self._attempt(request, probe)
-        return self._retry_timeouts(request, reply, probe, trace_budget)
-
-    def _retry_timeouts(
-        self,
-        request: ProbeRequest,
-        reply: ProbeReply,
-        probe: str,
-        trace_budget: Optional[TraceBudget] = None,
-    ) -> ProbeReply:
-        """The shared retry tail: re-probe while the reply is a ``*``.
-
-        Each retry's backoff charges the active trace deadline (the
-        time a real prober would have waited before the re-probe), and
-        an already-expired deadline stops the retry loop — retries can
-        no longer overshoot a per-trace deadline.
-        """
+        retries = self.policy.max_retries
         attempt = 0
-        while (
-            reply.reply_kind is None
-            and attempt < self.policy.max_retries
-        ):
-            if trace_budget is not None and trace_budget.expired:
-                break
+        while reply.reply_kind is None and attempt < retries:
             self.obs.metrics.inc("measure.retries")
-            delay_ms = self._backoff(attempt)
-            if trace_budget is not None and delay_ms > 0:
-                already = trace_budget.expired
-                trace_budget.charge(delay_ms)
-                if trace_budget.expired and not already:
-                    self.obs.metrics.inc("measure.deadline.trace")
             attempt += 1
             reply = self._attempt(request, probe)
-        if (
-            reply.reply_kind is None
-            and self.policy.max_retries > 0
-            and attempt >= self.policy.max_retries
-        ):
+        if reply.reply_kind is None and retries > 0:
             self.obs.metrics.inc("measure.retries_exhausted")
         return reply
-
-    def _backoff(self, attempt: int) -> float:
-        """Exponential wall-clock backoff (no-op at 0 ms base).
-
-        Returns the delay in milliseconds so callers can charge it to
-        simulated-time deadlines.
-        """
-        delay_ms = self.policy.retry_backoff_ms * (2 ** attempt)
-        if delay_ms > 0:
-            time.sleep(delay_ms / 1000.0)
-        return delay_ms
-
-    def _charge_trace(
-        self, budget: TraceBudget, reply: ProbeReply
-    ) -> None:
-        """Charge a reply's measurement time to a trace deadline.
-
-        Timeouts charge the probe deadline (the time a real prober
-        would have waited) when one is configured, nothing otherwise.
-        """
-        already = budget.expired
-        if reply.reply_kind is not None:
-            budget.charge(reply.rtt_ms)
-        elif self.policy.probe_deadline_ms is not None:
-            budget.charge(self.policy.probe_deadline_ms)
-        if budget.expired and not already:
-            self.obs.metrics.inc("measure.deadline.trace")
-
-    def _batch(
-        self,
-        requests: Sequence[ProbeRequest],
-        probe: str,
-        keyer: Optional[Callable[[ProbeRequest], Optional[tuple]]],
-        trace_budget: Optional[TraceBudget] = None,
-    ) -> List[ProbeReply]:
-        """Shared batch path: cache, budget, batch-submit, retry.
-
-        ``keyer`` is None when response caching cannot apply — the
-        whole batch is then pending without a per-request key call.
-        """
-        policy = self.policy
-        # With no probe deadline, no sanitizer, and no debug sink, the
-        # per-reply observation reduces to one counter bump per kind.
-        per_reply = (
-            policy.probe_deadline_ms is not None
-            or policy.sanitize
-            or self.obs.events.debug
-        )
-        retries = policy.max_retries
-        if (
-            keyer is None
-            and trace_budget is None
-            and not per_reply
-            and not retries
-        ):
-            # Nothing per-reply to do: admit, account, submit, count.
-            if type(requests) is not list:
-                requests = list(requests)
-            self._charge_budget(len(requests))
-            self._account_batch(requests, probe)
-            # Backends return a fresh list per call — no defensive copy.
-            raw = self.backend.submit_batch(requests)
-            kind_counts: Dict[str, int] = {}
-            for reply in raw:
-                kind = reply.reply_kind or "none"
-                kind_counts[kind] = kind_counts.get(kind, 0) + 1
-            inc = self.obs.metrics.inc
-            for kind, total in kind_counts.items():
-                inc("probe.reply." + kind, total)
-            return raw
-        requests = list(requests)
-        replies: List[Optional[ProbeReply]] = [None] * len(requests)
-        pending: List[Tuple[int, Optional[tuple]]] = []
-        if keyer is None:
-            pending = [(index, None) for index in range(len(requests))]
-        else:
-            for index, request in enumerate(requests):
-                key = keyer(request)
-                if key is not None:
-                    cached = self._cache.get(key)
-                    if cached is not None:
-                        replies[index] = self._serve_cached(
-                            request, cached, trace_budget
-                        )
-                        continue
-                pending.append((index, key))
-        # All-or-nothing admission: refuse the whole remainder rather
-        # than submit a prefix the budget cannot cover.
-        self._charge_budget(len(pending))
-        submitted = [requests[index] for index, _ in pending]
-        self._account_batch(submitted, probe)
-        raw = self.backend.submit_batch(submitted)
-        kind_counts = {}
-        for (index, key), reply in zip(pending, raw):
-            request = requests[index]
-            if per_reply:
-                reply = self._observe_reply(request, reply)
-            else:
-                kind = reply.reply_kind or "none"
-                kind_counts[kind] = kind_counts.get(kind, 0) + 1
-            if reply.reply_kind is None and retries:
-                reply = self._retry_timeouts(
-                    request, reply, probe, trace_budget
-                )
-            if key is not None:
-                self._cache[key] = reply
-            if trace_budget is not None:
-                self._charge_trace(trace_budget, reply)
-            replies[index] = reply
-        if kind_counts:
-            inc = self.obs.metrics.inc
-            for kind, total in kind_counts.items():
-                inc("probe.reply." + kind, total)
-        return replies

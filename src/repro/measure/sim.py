@@ -43,16 +43,6 @@ ProbeReply`, returned as-is to avoid a per-probe copy)."""
             kind=request.kind,
         )
 
-    def submit_batch(self, requests):
-        """Simulate a whole batch through the engine's batch path.
-
-        Replies come back in request order, bit-identical to serial
-        :meth:`submit` calls.  The engine consumes the requests
-        directly (duck-typed on the wire fields), so the adapter adds
-        no per-probe conversion.
-        """
-        return self.engine.send_probe_batch(requests)
-
     def add_invalidation_listener(
         self, listener: Callable[[], None]
     ) -> None:

@@ -128,13 +128,5 @@ class TeTunnelRegistry:
         """The installed tunnel for (head, tail), if any."""
         return self._tunnels.get((head, tail))
 
-    def tunnels_at(self, head: str) -> Tuple[TeTunnel, ...]:
-        """All tunnels headed at ``head``."""
-        return tuple(
-            tunnel
-            for (tunnel_head, _), tunnel in sorted(self._tunnels.items())
-            if tunnel_head == head
-        )
-
     def __len__(self) -> int:
         return len(self._tunnels)

@@ -222,11 +222,6 @@ class PrefixTable:
                 return hit
         return None
 
-    def lookup_value(self, address: int) -> Optional[object]:
-        """Return only the value of the longest match, or None."""
-        hit = self.lookup(address)
-        return None if hit is None else hit[1]
-
     def exact(self, prefix: Prefix) -> Optional[object]:
         """Return the value stored for exactly ``prefix``, or None."""
         bucket = self._by_length.get(prefix.length)

@@ -78,15 +78,6 @@ class Link:
             return self.side_a
         raise ValueError("interface does not belong to this link")
 
-    def weight_from(self, router: Router) -> int:
-        """IGP weight in the direction leaving ``router``."""
-        assert self.side_a is not None and self.side_b is not None
-        if self.side_a.router is router:
-            return self.weight_ab
-        if self.side_b.router is router:
-            return self.weight_ba
-        raise ValueError(f"{router.name} is not an endpoint of this link")
-
     @property
     def routers(self) -> Tuple[Router, Router]:
         """Both endpoint routers."""
@@ -261,25 +252,6 @@ class Network:
     def asns(self) -> List[int]:
         """All AS numbers present, ascending."""
         return sorted(self._by_asn)
-
-    def border_routers(self, asn: int) -> List[Router]:
-        """Routers of ``asn`` that have at least one inter-AS link."""
-        return [
-            router
-            for router in self.routers_in_as(asn)
-            if any(
-                interface.neighbor.router.asn != asn
-                for interface in router.interfaces.values()
-            )
-        ]
-
-    def internal_prefixes(self, asn: int) -> List[Prefix]:
-        """All prefixes originated by AS ``asn`` (loopbacks + links)."""
-        return sorted(
-            prefix
-            for prefix, owner_asn in self._prefix_asn.items()
-            if owner_asn == asn
-        )
 
     def intra_as_links(self, asn: int) -> Iterator[Link]:
         """Links with both endpoints inside AS ``asn``."""

@@ -112,18 +112,6 @@ class RingBufferSink:
         """Buffered records, oldest first."""
         return list(self._records)
 
-    def of_kind(self, kind: str) -> List[Dict[str, object]]:
-        """Buffered records whose ``kind`` matches."""
-        return [r for r in self._records if r.get("kind") == kind]
-
-    def kinds(self) -> Dict[str, int]:
-        """Record count per kind."""
-        counts: Dict[str, int] = {}
-        for record in self._records:
-            kind = str(record.get("kind"))
-            counts[kind] = counts.get(kind, 0) + 1
-        return counts
-
     def clear(self) -> None:
         """Drop every buffered record."""
         self._records.clear()
@@ -175,10 +163,6 @@ class EventLog:
         nowhere after its stream closes."""
         self.sinks.clear()
         self._refresh()
-
-    def enabled_for(self, level: int) -> bool:
-        """Would a record at ``level`` reach any sink?"""
-        return bool(self.sinks) and level >= self.level
 
     # ------------------------------------------------------------------
     # Emission

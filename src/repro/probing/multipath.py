@@ -12,7 +12,7 @@ in the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.net.router import Router
 from repro.probing.prober import Prober
@@ -36,27 +36,6 @@ class MultipathResult:
     def path_count(self) -> int:
         """Number of distinct paths observed."""
         return len(self.paths)
-
-    @property
-    def divergence_points(self) -> Set[int]:
-        """Addresses after which at least two paths part ways.
-
-        Paths diverging at their very first hop have no common prefix
-        and contribute nothing.
-        """
-        points: Set[int] = set()
-        for i, first in enumerate(self.paths):
-            for second in self.paths[i + 1 :]:
-                common = 0
-                limit = min(len(first), len(second))
-                while common < limit and first[common] == second[common]:
-                    common += 1
-                if common == limit:
-                    continue  # one path is a prefix of the other
-                if common > 0:
-                    points.add(first[common - 1])
-        return points
-
 
 def enumerate_paths(
     prober: Prober,

@@ -10,8 +10,8 @@ The prober is a pure *composer*: it decides which probes to send
 (TTL sweeps, gap limits, flow pinning) and assembles the replies into
 :class:`Trace`/:class:`PingResult` objects, while every probe goes
 through a :class:`~repro.measure.service.ProbeService` that owns the
-cross-cutting policy — budgets, retries, deadlines, caching — and the
-backend that actually emits packets.  ``Prober(engine)`` still works:
+cross-cutting policy — budgets, retries, caching, the sanitizer — and
+the backend that actually emits packets.  ``Prober(engine)`` still works:
 the engine is wrapped in a ``SimBackend`` automatically.
 """
 
@@ -22,12 +22,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.measure import (
-    DEST_UNREACHABLE,
-    ECHO_REPLY,
-    ProbeRequest,
-    as_probe_service,
-)
+from repro.measure import DEST_UNREACHABLE, ECHO_REPLY, as_probe_service
 from repro.measure.service import MeasurementPolicy, ProbeService
 from repro.net.addressing import format_address
 from repro.net.router import Router
@@ -255,7 +250,6 @@ class Prober:
         events = self.obs.events
         gap = 0
         limit = max_ttl if max_ttl is not None else self.max_ttl
-        deadline = self.service.begin_trace()
         tracer = self.obs.tracer
         # The span itself already no-ops below INFO, but building its
         # kwargs costs more than the whole hot path per trace — skip
@@ -272,7 +266,6 @@ class Prober:
             for ttl in range(start_ttl, limit + 1):
                 outcome = self.service.traceroute_probe(
                     source.name, dst, ttl=ttl, flow_id=flow_id,
-                    trace_budget=deadline,
                 )
                 hop = self._hop_from(outcome)
                 trace.hops.append(hop)
@@ -301,8 +294,6 @@ class Prober:
                                 dst=dst, ttl=ttl,
                             )
                         break
-                if deadline is not None and deadline.expired:
-                    break
         metrics.observe("trace.hops", len(trace.hops), _HOP_BUCKETS)
         return trace
 
@@ -338,31 +329,12 @@ class Prober:
         return self._ping_from(source.name, dst, outcome)
 
     def ping_sweep(
-        self,
-        source: Router,
-        addresses: Sequence[int],
-        flow_ids: Optional[Sequence[int]] = None,
+        self, source: Router, addresses: Sequence[int]
     ) -> List[PingResult]:
-        """Ping many addresses from one VP through the batch path.
-
-        Semantically identical to calling :meth:`ping` per address
-        (same flows, same cache and budget policy), but submitted via
-        the backend's batch interface so backends that amortise
-        per-probe overhead can.
-        """
-        if flow_ids is None:
-            flow_ids = [
-                self._flow_for(source, address) for address in addresses
-            ]
-        requests = [
-            ProbeRequest(source.name, address, 64, flow_id)
-            for address, flow_id in zip(addresses, flow_ids)
-        ]
-        replies = self.service.ping_batch(requests)
-        return [
-            self._ping_from(source.name, address, reply)
-            for address, reply in zip(addresses, replies)
-        ]
+        """:meth:`ping` per address.  Kept because bench/spans.py wraps
+        it by name; it goes once the bench reads only public surfaces
+        (ROADMAP item 1)."""
+        return [self.ping(source, address) for address in addresses]
 
     # ------------------------------------------------------------------
 

@@ -17,7 +17,7 @@ Router-level egress selection (hot potato) lives in
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.net.topology import Network
 
@@ -35,8 +35,6 @@ class BgpRouting:
         self._adjacency: Optional[Dict[int, Set[int]]] = None
         # next_as cache: dst_asn -> {asn -> chosen next asn}
         self._next_as_cache: Dict[int, Dict[int, int]] = {}
-        # (asn, dst_asn) -> forced next asn
-        self._overrides: Dict[Tuple[int, int], int] = {}
 
     @property
     def adjacency(self) -> Dict[int, Set[int]]:
@@ -52,22 +50,6 @@ class BgpRouting:
                 adjacency.setdefault(asn, set())
             self._adjacency = adjacency
         return adjacency
-
-    # ------------------------------------------------------------------
-    # Configuration
-
-    def set_preference(self, asn: int, dst_asn: int, next_asn: int) -> None:
-        """Force AS ``asn`` to route toward ``dst_asn`` via ``next_asn``.
-
-        ``next_asn`` must be an actual neighbor of ``asn``.  Used by
-        scenario builders to inject policy-driven asymmetry.
-        """
-        if next_asn not in self.adjacency.get(asn, ()):
-            raise ValueError(
-                f"AS{next_asn} is not a neighbor of AS{asn}"
-            )
-        self._overrides[(asn, dst_asn)] = next_asn
-        self._next_as_cache.pop(dst_asn, None)
 
     # ------------------------------------------------------------------
     # Route computation
@@ -97,9 +79,6 @@ class BgpRouting:
                     and current < next_as.get(neighbor, 1 << 62)
                 ):
                     next_as[neighbor] = current
-        for (asn, target), forced in self._overrides.items():
-            if target == dst_asn and asn in next_as:
-                next_as[asn] = forced
         return next_as
 
     def next_as(self, asn: int, dst_asn: int) -> Optional[int]:
@@ -115,24 +94,6 @@ class BgpRouting:
             tree = self._compute_tree(dst_asn)
             self._next_as_cache[dst_asn] = tree
         return tree.get(asn)
-
-    def as_path(self, asn: int, dst_asn: int) -> Optional[List[int]]:
-        """The full selected AS path, inclusive of both ends."""
-        if asn == dst_asn:
-            return [asn]
-        path = [asn]
-        current = asn
-        guard = 0
-        while current != dst_asn:
-            nxt = self.next_as(current, dst_asn)
-            if nxt is None:
-                return None
-            path.append(nxt)
-            current = nxt
-            guard += 1
-            if guard > len(self.adjacency) + 1:
-                raise RuntimeError("AS path did not converge (loop?)")
-        return path
 
     def neighbors(self, asn: int) -> Set[int]:
         """Neighbor ASes of ``asn``."""

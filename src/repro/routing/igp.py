@@ -117,11 +117,6 @@ class IgpRouting:
         self._ensure(si)
         return [self.routers[i] for i in self._next_hop_cache[si][ti]]
 
-    def hop_count(self, source: Router, target: Router) -> Optional[int]:
-        """Number of links on one shortest path (first ECMP branch)."""
-        path = self.shortest_path(source, target)
-        return None if path is None else len(path) - 1
-
     def shortest_path(
         self, source: Router, target: Router, ecmp_rank: int = 0
     ) -> Optional[List[Router]]:
@@ -165,6 +160,3 @@ class IgpRouting:
                 best, best_key = candidate, key
         return best
 
-    def ecmp_width(self, source: Router, target: Router) -> int:
-        """Number of equal-cost first hops from ``source`` to ``target``."""
-        return len(self.next_hops(source, target))

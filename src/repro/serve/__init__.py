@@ -12,7 +12,7 @@ The subsystem has four legs:
   ride the lazy-attach path instead of paying ``internet_build``;
 * :mod:`repro.serve.scheduler` — the weighted fair scheduler and the
   :class:`~repro.serve.scheduler.ScheduledBackend` turnstile that
-  interleaves probe batches across tenants in weighted quanta, on the
+  interleaves probes across tenants in weighted quanta, on the
   session threads;
 * :mod:`repro.serve.session` — per-tenant session lifecycle: spec,
   isolated measurement stack, JSONL event mirroring, checkpoint
@@ -25,7 +25,7 @@ Determinism contract: a campaign executed through the server is
 byte-identical to the standalone orchestrator — the
 whole ``CampaignResult`` (``==``, inventory and RTLA state included)
 *and* the measurement counters.  The scheduler only decides *when* a
-tenant's next batch enters the simulator, never what is probed;
+tenant's next probe enters the simulator, never what is probed;
 per-tenant engines keep every cache and counter private; and
 ``serve.*`` counters live in the server's own registry, in the
 execution-prefixed namespace.

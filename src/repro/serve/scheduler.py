@@ -1,4 +1,4 @@
-"""Weighted fair scheduling of probe batches across tenants.
+"""Weighted fair scheduling of probes across tenants.
 
 The scheduler is a *turnstile*: one grant is outstanding at a time,
 so the shared simulator is never entered concurrently.  Turns go by
@@ -13,10 +13,10 @@ The turnstile lives on the session threads: state sits behind one
 :class:`threading.Condition` and :class:`ScheduledBackend`, a
 transparent :class:`~repro.measure.backend.ProbeBackend` wrapper,
 makes plain blocking ``acquire``/``release`` calls around each
-``submit``/``submit_batch``.  A thread inside its quantum neither
-blocks nor wakes anyone.  Scheduling decides *when* a batch runs,
-never what it probes, so served campaigns stay byte-identical to
-standalone runs.
+``submit``: every grant is one probe.  A thread inside its quantum
+neither blocks nor wakes anyone.  Scheduling decides *when* a probe
+runs, never what it probes, so served campaigns stay byte-identical
+to standalone runs.
 
 Counters (server registry, ``serve.*`` family): queue depth gauge
 ``serve.queue_depth``, ``serve.batches_dispatched``,
@@ -88,7 +88,7 @@ class FairScheduler:
         #: Lanes with running sessions (``refs > 0``).
         self._live: Set[_Lane] = set()
         self._cond = threading.Condition()
-        #: A grant is outstanding (its batch is in the simulator).
+        #: A grant is outstanding (its probe is in the simulator).
         self._busy = False
         #: The lane whose quantum runs, and where that quantum ends.
         self._holder: Optional[_Lane] = None
@@ -145,9 +145,8 @@ class FairScheduler:
     # ------------------------------------------------------------------
     # The turnstile
 
-    def acquire(self, tenant: str, cost: int) -> None:
-        """Block until this tenant may move ``cost`` probes."""
-        cost = max(1, int(cost))
+    def acquire(self, tenant: str) -> None:
+        """Block until this tenant may move one probe."""
         with self._cond:
             lane = self._lanes[tenant]
             if not self._may_enter(lane):
@@ -159,14 +158,14 @@ class FairScheduler:
             if self._holder is None and lane.refs > 0:
                 self._holder = lane
                 self._quantum_end = lane.virtual_time + QUANTUM
-            lane.charged += cost
-            lane.granted_probes += cost
+            lane.charged += 1
+            lane.granted_probes += 1
             lane.granted_batches += 1
             metrics = self.obs.metrics
             metrics.inc("serve.batches_dispatched")
-            metrics.inc("serve.probes_granted", cost)
+            metrics.inc("serve.probes_granted")
             metrics.inc(f"serve.tenant.{lane.name}.batches")
-            metrics.inc(f"serve.tenant.{lane.name}.probes", cost)
+            metrics.inc(f"serve.tenant.{lane.name}.probes")
 
     def release(self) -> None:
         """Return the grant; end a used-up quantum; wake a waiter
@@ -261,17 +260,14 @@ class ScheduledBackend:
 
     def submit(self, request):
         """One probe, after a one-probe grant."""
-        self._scheduler.acquire(self._tenant, 1)
+        self._scheduler.acquire(self._tenant)
         try:
             return self._inner.submit(request)
         finally:
             self._scheduler.release()
 
     def submit_batch(self, requests):
-        """One batch, charged by its probe count."""
-        batch = list(requests)
-        self._scheduler.acquire(self._tenant, len(batch))
-        try:
-            return self._inner.submit_batch(batch)
-        finally:
-            self._scheduler.release()
+        """:meth:`submit` per request.  Kept because bench/spans.py
+        wraps it by name; it goes once the bench reads only public
+        surfaces (ROADMAP item 1)."""
+        return [self.submit(request) for request in requests]

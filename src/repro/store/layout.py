@@ -21,9 +21,9 @@ Snapshots are *keyed by content*: the key is a SHA-256 over the
 campaign's identity — topology descriptor (seed and friends), the
 identity-relevant :class:`~repro.campaign.orchestrator.CampaignConfig`
 fields, and the target set.  Execution knobs that cannot change what
-is measured (``probe_budget``, ``scope_budgets``,
-``retry_backoff_ms``) are excluded on purpose: interrupting a run with
-a budget and resuming it without one must land in the same snapshot.
+is measured (``probe_budget``, ``scope_budgets``) are excluded on
+purpose: interrupting a run with a budget and resuming it without one
+must land in the same snapshot.
 
 Phase records are an append-only log with *prefix semantics*: each
 record carries its zero-based ``index``, and :func:`read_phase_records`
@@ -83,12 +83,11 @@ FLEET_SCHEMA = "repro.fleet/1"
 PHASES = ("trace", "ping", "pairs", "revelation")
 
 #: CampaignConfig fields excluded from the campaign key: they steer
-#: *how* the run executes (stopping, wall-clock pacing),
-#: not what it measures, and resuming legitimately changes them.
+#: *how* the run executes (where it stops), not what it measures,
+#: and resuming legitimately changes them.
 IDENTITY_EXCLUDED_FIELDS = (
     "probe_budget",
     "scope_budgets",
-    "retry_backoff_ms",
 )
 
 #: Measurement counters a resumed run regenerates itself rather than

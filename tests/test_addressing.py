@@ -115,8 +115,8 @@ class TestPrefixTable:
         table = PrefixTable()
         table.insert(Prefix.parse("10.0.0.0/8"), "short")
         table.insert(Prefix.parse("10.1.0.0/16"), "long")
-        assert table.lookup_value(parse_address("10.1.2.3")) == "long"
-        assert table.lookup_value(parse_address("10.2.0.1")) == "short"
+        assert table.lookup(parse_address("10.1.2.3"))[1] == "long"
+        assert table.lookup(parse_address("10.2.0.1"))[1] == "short"
 
     def test_miss_returns_none(self):
         table = PrefixTable()

@@ -29,7 +29,6 @@ class TestBgpRouting:
     def test_as_path_on_line(self):
         network, _ = build_line_of_ases()
         bgp = BgpRouting(network)
-        assert bgp.as_path(1, 3) == [1, 2, 3]
         assert bgp.next_as(1, 3) == 2
         assert bgp.next_as(2, 3) == 3
 
@@ -38,14 +37,12 @@ class TestBgpRouting:
         network.add_router("Lonely", asn=9)
         bgp = BgpRouting(network)
         assert bgp.next_as(1, 9) is None
-        assert bgp.as_path(1, 9) is None
 
     def test_same_as_rejected(self):
         network, _ = build_line_of_ases()
         bgp = BgpRouting(network)
         with pytest.raises(ValueError):
             bgp.next_as(1, 1)
-        assert bgp.as_path(1, 1) == [1]
 
     def test_shortest_path_ties_break_low_asn(self):
         # AS1 reaches AS4 via AS2 or AS3 (equal length): AS2 wins.
@@ -60,26 +57,6 @@ class TestBgpRouting:
         network.add_link(r3, r4)
         bgp = BgpRouting(network)
         assert bgp.next_as(1, 4) == 2
-
-    def test_preference_override(self):
-        network = Network()
-        r1 = network.add_router("R1", asn=1)
-        r2 = network.add_router("R2", asn=2)
-        r3 = network.add_router("R3", asn=3)
-        r4 = network.add_router("R4", asn=4)
-        network.add_link(r1, r2)
-        network.add_link(r1, r3)
-        network.add_link(r2, r4)
-        network.add_link(r3, r4)
-        bgp = BgpRouting(network)
-        bgp.set_preference(1, 4, 3)
-        assert bgp.next_as(1, 4) == 3
-
-    def test_preference_requires_neighbor(self):
-        network, _ = build_line_of_ases()
-        bgp = BgpRouting(network)
-        with pytest.raises(ValueError):
-            bgp.set_preference(1, 3, 3)  # AS3 is not AS1's neighbor
 
     def test_neighbors(self):
         network, _ = build_line_of_ases()

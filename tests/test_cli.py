@@ -287,6 +287,32 @@ class TestCampaignCheckpoint:
         assert main(args + ["--replay", log]) == 2
         assert "error: probe log" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,name,content", [
+        ("--replay", "missing.jsonl", None),
+        ("--replay", "notes.txt", "not json\n"),
+        ("--replay", "future.jsonl", '{"schema": "repro.probelog/99"}\n'),
+        ("--replay", "fields.jsonl", '{"dst": 1}\n'),
+        ("--record", "no-such-dir/log.jsonl", None),
+    ], ids=[
+        "replay-missing", "replay-not-json", "replay-wrong-schema",
+        "replay-not-entries", "record-missing-dir",
+    ])
+    def test_unusable_probe_log_exits_two(
+        self, capsys, tmp_path, flag, name, content
+    ):
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        code = main(
+            ["campaign", "--scale", "0.3", "--vantage-points", "3",
+             flag, str(path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err
+        assert "Traceback" not in err
+
 
 class TestChaosAlias:
     def test_alias_matches_campaign_with_fault_profile(
@@ -321,3 +347,24 @@ class TestChaosAlias:
     def test_unknown_profile_exits_two(self, capsys):
         assert main(["chaos", "--profile", "no-such"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestHashSeedContract:
+    def test_dataset_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # Set and dict iteration order over strings follows the hash
+        # seed; a saved dataset must not.
+        datasets = []
+        for hash_seed in ("0", "12345"):
+            path = tmp_path / f"dataset-{hash_seed}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "campaign",
+                 "--scale", "0.3", "--seed", "2017",
+                 "--fault-profile", "hostile", "--vantage-points", "3",
+                 "--save", str(path)],
+                capture_output=True, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": _SOURCE,
+                     "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            datasets.append(path.read_bytes())
+        assert datasets[0] == datasets[1]

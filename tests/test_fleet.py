@@ -575,10 +575,6 @@ class TestHarness:
             self.submitted += 1
             return request
 
-        def submit_batch(self, requests):
-            self.submitted += len(requests)
-            return list(requests)
-
     def test_kill_switch_is_one_shot(self):
         harness = _ChainHarness(kill_after=3)
         backend = harness.wrap(self._Backend())
@@ -594,9 +590,11 @@ class TestHarness:
     def test_watchdog_resets_at_epoch_boundary(self):
         harness = _ChainHarness(epoch_deadline=2)
         backend = harness.wrap(self._Backend())
-        backend.submit_batch(["a", "b"])
+        backend.submit("a")
+        backend.submit("b")
         harness.start_epoch()
-        backend.submit_batch(["c", "d"])
+        backend.submit("c")
+        backend.submit("d")
         with pytest.raises(WatchdogExpired):
             backend.submit("e")
 

@@ -53,17 +53,6 @@ class TestEnumeratePaths:
         lasts = {path[-1] for path in result.paths}
         assert lasts == {dst.loopback}
 
-    def test_divergence_point_is_first_hop(self):
-        network, src, dst = build_diamond(parallel=2)
-        prober = Prober(ForwardingEngine(network))
-        result = enumerate_paths(prober, src, dst.loopback, flows=32)
-        points = result.divergence_points
-        # Paths diverge right after the source: the first responding
-        # hop differs, so there is no common prefix to diverge from.
-        assert points == set() or all(
-            network.owner_of(p) is not None for p in points
-        )
-
     def test_incomplete_traces_skipped(self):
         network, src, dst = build_diamond(parallel=2)
         network.router("mid0").icmp_enabled = False
@@ -170,13 +159,16 @@ class TestDivergencePoints:
         prober = Prober(ForwardingEngine(network))
         result = enumerate_paths(prober, src, join.loopback, flows=32)
         assert result.path_count == 2
-        points = result.divergence_points
-        assert len(points) == 1
-        assert network.owner_of(next(iter(points))) is common
+        first, second = result.paths
+        # Both paths cross ``common``, then part ways.
+        assert network.owner_of(first[0]) is common
+        assert first[0] == second[0]
+        assert first[1] != second[1]
 
     def test_first_hop_divergence_has_no_points(self):
         network, src, dst = build_diamond(parallel=2)
         prober = Prober(ForwardingEngine(network))
         result = enumerate_paths(prober, src, dst.loopback, flows=32)
         assert result.path_count == 2
-        assert result.divergence_points == set()
+        first, second = result.paths
+        assert first[0] != second[0]

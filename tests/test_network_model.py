@@ -194,25 +194,6 @@ class TestNetworkContainer:
         with pytest.raises(ValueError):
             network.add_link(a, b, prefix=Prefix.parse("192.0.2.1/32"))
 
-    def test_border_routers(self):
-        network = Network()
-        a = network.add_router("A", asn=1)
-        b = network.add_router("B", asn=1)
-        c = network.add_router("C", asn=2)
-        network.add_link(a, b)
-        network.add_link(b, c)
-        assert network.border_routers(1) == [b]
-        assert network.border_routers(2) == [c]
-
-    def test_internal_prefixes(self):
-        network = Network()
-        a = network.add_router("A", asn=1)
-        b = network.add_router("B", asn=1)
-        link = network.add_link(a, b)
-        prefixes = network.internal_prefixes(1)
-        assert Prefix(a.loopback, 32) in prefixes
-        assert link.prefix in prefixes
-
     def test_intra_and_inter_links(self):
         network = Network()
         a = network.add_router("A", asn=1)
@@ -224,17 +205,6 @@ class TestNetworkContainer:
         assert list(network.inter_as_links()) == [inter]
         assert not intra.inter_as
         assert inter.inter_as
-
-    def test_link_weight_from(self):
-        network = Network()
-        a = network.add_router("A", asn=1)
-        b = network.add_router("B", asn=1)
-        c = network.add_router("C", asn=1)
-        link = network.add_link(a, b, weight=2, weight_back=7)
-        assert link.weight_from(a) == 2
-        assert link.weight_from(b) == 7
-        with pytest.raises(ValueError):
-            link.weight_from(c)
 
     def test_link_other_side(self):
         network = Network()

@@ -34,6 +34,11 @@ from repro.synth.gns3 import build_gns3
 from repro.synth.internet import InternetConfig, build_internet
 
 
+def of_kind(sink, kind):
+    """The sink's buffered records of one ``kind``, oldest first."""
+    return [record for record in sink.records if record.get("kind") == kind]
+
+
 def _run_campaign(trajectory_cache):
     internet = build_internet(
         InternetConfig(seed=77, trajectory_cache=trajectory_cache)
@@ -193,7 +198,7 @@ class TestGoldenScenarioSpans:
             ingress=ingress, egress=egress,
         )
         names = {
-            record["name"] for record in capture.of_kind("span")
+            record["name"] for record in of_kind(capture, "span")
         }
         assert {
             "revelation.reveal", "revelation.dpr", "revelation.brpr",
@@ -207,9 +212,9 @@ class TestGoldenScenarioSpans:
             ingress=testbed.address("PE1.left"),
             egress=testbed.address("PE2.left"),
         )
-        steps = capture.of_kind("revelation.step")
+        steps = of_kind(capture, "revelation.step")
         assert len(steps) == revelation.traces_used
-        (verdict,) = capture.of_kind("revelation.verdict")
+        (verdict,) = of_kind(capture, "revelation.verdict")
         assert verdict["method"] == revelation.method.value
         assert verdict["revealed"] == len(revelation.revealed)
 

@@ -28,7 +28,6 @@ class FakeBackend(ProbeBackend):
     def __init__(self, flaky=None):
         self.obs = Obs()
         self.submitted = []
-        self.batch_calls = 0
         self._flaky = dict(flaky or {})
 
     def submit(self, request):
@@ -44,10 +43,6 @@ class FakeBackend(ProbeBackend):
             reply_ttl=250,
             rtt_ms=5.0,
         )
-
-    def submit_batch(self, requests):
-        self.batch_calls += 1
-        return [self.submit(request) for request in requests]
 
 
 def _service(policy=None, flaky=None):
@@ -93,17 +88,6 @@ class TestBudgets:
             service.ping_probe("VP", 1, flow_id=9)
         assert service.scope_spent("revelation") == 1
 
-    def test_batch_admission_is_all_or_nothing(self):
-        service, backend = _service(MeasurementPolicy(probe_budget=2))
-        requests = [
-            ProbeRequest("VP", dst, 64, 9) for dst in (1, 2, 3)
-        ]
-        with pytest.raises(BudgetExceeded):
-            service.ping_batch(requests)
-        # Nothing was submitted: the budget could not cover the batch.
-        assert backend.submitted == []
-        assert service.probes_sent == 0
-
 
 class TestRetries:
     def test_timeouts_are_retried_until_answered(self):
@@ -136,7 +120,7 @@ class TestCache:
         service.ping_probe("VP", 1, flow_id=9)
         service.ping_probe("VP", 1, flow_id=9)
         assert len(backend.submitted) == 2
-        assert service.cached_replies == 0
+        assert not service._cache
 
     def test_ping_mode_dedupes_repeat_pings(self):
         service, backend = _service(
@@ -175,7 +159,7 @@ class TestCache:
         service.seed_ping(
             "VP", 1, 9, ProbeReply(probe_ttl=5, reply_kind=ECHO_REPLY)
         )
-        assert service.cached_replies == 0
+        assert not service._cache
 
     def test_all_mode_caches_traceroute_probes(self):
         service, backend = _service(
@@ -198,15 +182,6 @@ class TestCache:
 
 
 class TestBatchSubmission:
-    def test_batch_goes_through_backend_batch_path(self):
-        service, backend = _service()
-        replies = service.ping_batch(
-            [ProbeRequest("VP", dst, 64, 9) for dst in (1, 2, 3)]
-        )
-        assert backend.batch_calls == 1
-        assert [r.responder for r in replies] == [1, 2, 3]
-        assert service.probes_sent == 3
-
     def test_batch_serves_cached_entries_first(self):
         service, backend = _service(
             MeasurementPolicy(cache_mode="ping")

@@ -2,9 +2,9 @@
 
 The degradation contract (DESIGN §11): anomalous replies are
 quarantined before any analyzer sees them, repeatedly dead ping
-targets are parked instead of burning retries, retry backoff charges
-the active trace deadline, and exhausted retries are accounted — all
-without crashing or corrupting the campaign result.
+targets are parked instead of burning retries, and exhausted retries
+are accounted — all without crashing or corrupting the campaign
+result.
 """
 
 import pytest
@@ -18,11 +18,7 @@ from repro.measure.backend import (
     ProbeReply,
     ProbeRequest,
 )
-from repro.measure.service import (
-    MeasurementPolicy,
-    ProbeService,
-    TraceBudget,
-)
+from repro.measure.service import MeasurementPolicy, ProbeService
 
 REQUEST = ProbeRequest("VP", 123, 4, 7)
 
@@ -168,36 +164,6 @@ class TestRetryAccounting:
         assert (
             service.obs.metrics.get("measure.retries_exhausted") == 1
         )
-
-    def test_backoff_charges_the_trace_deadline(self):
-        backend = SilentBackend()
-        service = ProbeService(
-            backend,
-            MeasurementPolicy(
-                max_retries=10, retry_backoff_ms=8.0
-            ),
-        )
-        budget = TraceBudget(20.0)
-        service.traceroute_probe("VP", 99, 3, 1, trace_budget=budget)
-        # Backoff doubles: 8 + 16 = 24 ms charged -> expired after
-        # two retries, well before the 10-retry cap.
-        assert budget.expired
-        assert service.obs.metrics.get("measure.retries") == 2
-        assert backend.submitted == 3
-        assert (
-            service.obs.metrics.get("measure.deadline.trace") == 1
-        )
-
-    def test_expired_budget_skips_the_retry_tail(self):
-        backend = SilentBackend()
-        service = ProbeService(
-            backend, MeasurementPolicy(max_retries=5)
-        )
-        budget = TraceBudget(1.0)
-        budget.charge(5.0)  # already expired
-        service.traceroute_probe("VP", 99, 3, 1, trace_budget=budget)
-        assert backend.submitted == 1  # no retries at all
-        assert service.obs.metrics.get("measure.retries") == 0
 
 
 class TestServiceQuarantine:

@@ -82,7 +82,7 @@ class TestTeTunnelModel:
             registry.install(
                 TeTunnel(name="t2", path=("in", "bot1", "out")), network
             )
-        assert registry.tunnels_at("in") == (tunnel,)
+        assert registry.tunnel_from("in", "out") is tunnel
         registry.remove("in", "out")
         assert len(registry) == 0
 

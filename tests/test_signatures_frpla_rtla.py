@@ -240,8 +240,8 @@ class TestRtla:
         analyzer = RtlaAnalyzer()
         self._feed(analyzer, "vp1", 7, te=250, er=62)
         self._feed(analyzer, "vp1", 9, te=251, er=62)
-        dist = analyzer.tunnel_length_distribution()
-        assert len(dist) == 2
+        lengths = [e.tunnel_length for e in analyzer.estimates()]
+        assert len(lengths) == 2
 
     def test_median_per_as(self):
         analyzer = RtlaAnalyzer()

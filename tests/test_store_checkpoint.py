@@ -280,7 +280,7 @@ class TestIdentityKey:
         tuned = CampaignConfig(
             suspicious_asns=(64500,),
             probe_budget=100,
-            retry_backoff_ms=50.0,
+            scope_budgets=(("revelation", 40),),
         )
         targets = [1, 2, 3]
         assert campaign_key(TOPOLOGY, base, targets) == campaign_key(

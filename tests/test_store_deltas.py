@@ -19,11 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.measure import (
     ECHO_REPLY,
-    ECHO_REQUEST,
     MeasurementPolicy,
     ProbeBackend,
     ProbeReply,
-    ProbeRequest,
     ProbeService,
 )
 from repro.measure.backend import reply_to_wire
@@ -63,9 +61,6 @@ class _CountingBackend(ProbeBackend):
             reply_ttl=250,
             rtt_ms=float(self.sent),
         )
-
-    def submit_batch(self, requests):
-        return [self.submit(request) for request in requests]
 
 
 class _FullDiff:
@@ -160,14 +155,10 @@ _operations = st.lists(
 def _apply(service, allocator, operation):
     kind = operation[0]
     if kind == "insert":
-        # One batch; a repeated destination is a duplicate key within
-        # the batch (both miss, the second reply overwrites the first).
-        service.ping_batch(
-            [
-                ProbeRequest("vp", dst, 255, 7, ECHO_REQUEST)
-                for dst in operation[1]
-            ]
-        )
+        # A repeated destination is served from the entry its first
+        # ping cached (a hit, not a second insert).
+        for dst in operation[1]:
+            service.ping_probe("vp", dst, 7, 255)
     elif kind == "flush":
         service.flush_cache()
     elif kind == "ldp":

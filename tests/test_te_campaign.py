@@ -148,12 +148,11 @@ class TestTeForwarding:
     @pytest.mark.parametrize("size", [1, 8])
     def test_batches_match_serial_walk(self, size):
         cached = te_internet()
-        backend = SimBackend(cached.engine)
         requests = _hop_requests(cached)
         batched = []
         for start in range(0, len(requests), size):
             batched.extend(
-                backend.submit_batch(requests[start:start + size])
+                cached.engine.send_probe_batch(requests[start:start + size])
             )
         walked = te_internet(trajectory_cache=False)
         serial_backend = SimBackend(walked.engine)

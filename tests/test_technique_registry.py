@@ -59,17 +59,20 @@ class TestRegistry:
         assert registry.get("frpla").kind == "analysis"
         assert registry.get("dpr").kind == "revelation"
         # LDP techniques stay LDP-scoped; TNT spans both classes.
-        assert registry.get("dpr").applicable("ldp")
-        assert not registry.get("dpr").applicable("rsvp-te")
-        assert registry.get("tnt").applicable("ldp")
-        assert registry.get("tnt").applicable("rsvp-te")
+        assert "ldp" in registry.get("dpr").tunnel_classes
+        assert "rsvp-te" not in registry.get("dpr").tunnel_classes
+        assert "ldp" in registry.get("tnt").tunnel_classes
+        assert "rsvp-te" in registry.get("tnt").tunnel_classes
 
     def test_scopes_and_revealers(self):
         registry = default_techniques()
         assert set(registry.scopes()) >= {"dpr", "brpr", "tnt"}
         # dpr/brpr expose single-shot primitives; only tnt ships a
         # full pair-level revelation strategy.
-        assert {t.name for t in registry.revealers()} == {"tnt"}
+        revealers = {
+            name for name in registry.names() if registry.get(name).reveal
+        }
+        assert revealers == {"tnt"}
 
     def test_primitives_are_the_module_functions(self):
         from repro.core.brpr import backward_recursive_revelation

@@ -113,10 +113,10 @@ def reply_signatures(replies):
     ]
 
 
-def submit_in_batches(backend, requests, size):
+def submit_in_batches(engine, requests, size):
     replies = []
     for start in range(0, len(requests), size):
-        replies.extend(backend.submit_batch(requests[start:start + size]))
+        replies.extend(engine.send_probe_batch(requests[start:start + size]))
     return replies
 
 
@@ -211,7 +211,7 @@ class TestBatchPath:
     def test_batches_match_serial_walk(self, size):
         cached, walked = small_internet(), small_internet(False)
         batched = submit_in_batches(
-            SimBackend(cached.engine), sweep_requests(cached), size
+            cached.engine, sweep_requests(cached), size
         )
         serial_backend = SimBackend(walked.engine)
         serial = [
@@ -221,35 +221,26 @@ class TestBatchPath:
         assert reply_signatures(batched) == reply_signatures(serial)
 
     def test_flap_batches_match_serial_submits(self):
-        # Batches of 7 straddle the flap positions (120, 320, 520): the
-        # faulty backend must split them so each flap fires at its
-        # serial position, and the cached engine must drop the
-        # trajectories a flap invalidated.
+        # The flap profile fires at probes 120, 320 and 520 of the
+        # sweep: the cached engine must drop the trajectories a flap
+        # invalidated and answer exactly as the walk-per-probe engine,
+        # with the flap count compared every 7 probes.
         size = 7
-        cached, walked = small_internet(), small_internet(False)
-        batched_backend = FaultyBackend(
-            SimBackend(cached.engine), fault_profile("flap")
-        )
-        requests = sweep_requests(cached)
-        batched, batched_fired = [], []
-        for start in range(0, len(requests), size):
-            batched.extend(
-                batched_backend.submit_batch(requests[start:start + size])
+        runs = []
+        for internet in (small_internet(), small_internet(False)):
+            backend = FaultyBackend(
+                SimBackend(internet.engine), fault_profile("flap")
             )
-            batched_fired.append(
-                cached.engine.obs.metrics.get("faults.flaps")
-            )
-        serial_backend = FaultyBackend(
-            SimBackend(walked.engine), fault_profile("flap")
-        )
-        requests = sweep_requests(walked)
-        serial, serial_fired = [], []
-        for count, request in enumerate(requests, 1):
-            serial.append(serial_backend.submit(request))
-            if count % size == 0 or count == len(requests):
-                serial_fired.append(
-                    walked.engine.obs.metrics.get("faults.flaps")
-                )
+            requests = sweep_requests(internet)
+            replies, fired = [], []
+            for count, request in enumerate(requests, 1):
+                replies.append(backend.submit(request))
+                if count % size == 0 or count == len(requests):
+                    fired.append(
+                        internet.engine.obs.metrics.get("faults.flaps")
+                    )
+            runs.append((internet, replies, fired))
+        (cached, batched, batched_fired), (_, serial, serial_fired) = runs
         assert reply_signatures(batched) == reply_signatures(serial)
         assert batched_fired == serial_fired
         assert batched_fired[-1] == 3
